@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import partition
 from .errors import InsufficientData, MissingParam, OutOfRange, ValidationError
@@ -35,20 +35,6 @@ class BoundReport:
     bound_value: float
     ratio: float
     flag: bool
-    fitted_exponent: Optional[float] = None
-    residual: Optional[float] = None
-
-
-def _get(params, name, *, integer=False, minimum=None, default=None):
-    if name not in params:
-        if default is not None:
-            return default
-        raise MissingParam(f"formula needs parameter {name!r}")
-    v = params[name]
-    v = int(v) if integer else float(v)
-    if minimum is not None and v < minimum:
-        raise OutOfRange(f"parameter {name}={v} below minimum {minimum}")
-    return v
 
 
 def _clamped_log(x: float) -> float:
@@ -58,10 +44,11 @@ def _clamped_log(x: float) -> float:
 
 def _pw(x: float, num: int, den: int = 1) -> float:
     """x ** (num/den), exact when x is a perfect power: integer bases whose
-    rational power is an integer evaluate without float drift."""
+    rational power is an integer evaluate without float drift.  The exact
+    path is taken only while x ** num still fits in a float."""
     if num == 0:
         return 1.0
-    if x > 0 and x == int(x) and num > 0:
+    if x > 0 and x == int(x) and num > 0 and num * math.log2(x) < 1023:
         target = int(x) ** num
         root = round(target ** (1.0 / den))
         for r in (root - 1, root, root + 1):
@@ -77,178 +64,139 @@ def _eps(params) -> float:
     return eps
 
 
+# ---------------------------------------------------------------------------
+# the catalogue: name -> (parameter readers in reading order, evaluator)
+
+def _param(name, *, integer=False, minimum=1):
+    """Reader of one required parameter, checked against its minimum."""
+    def read(params):
+        if name not in params:
+            raise MissingParam(f"formula needs parameter {name!r}")
+        v = params[name]
+        if integer:
+            if v != int(v):
+                raise OutOfRange(f"parameter {name}={v} must be an integer")
+            v = int(v)
+        else:
+            v = float(v)
+        if v < minimum:
+            raise OutOfRange(f"parameter {name}={v} below minimum {minimum}")
+        return v
+    return read
+
+
+def _constant(name):
+    return lambda p: Fraction(p.get(name, 1))
+
+
+_M, _N, _Q, _R = _param("m"), _param("n"), _param("q"), _param("r", minimum=2)
+_K = _param("k", integer=True, minimum=2)
+_S = _param("s", integer=True, minimum=2)
+
+
+def _k_dof_planar(m, n, k):
+    # curves with k degrees of freedom in the plane (Pach-Sharir)
+    return _pw(m, k, 2 * k - 1) * _pw(n, 2 * k - 2, 2 * k - 1) + m + n
+
+
+def _s_param_planar(m, n, s, e):
+    # s-parameter families of algebraic curves in the plane (Sharir-Zahl)
+    return (
+        m ** (2 * s / (5 * s - 4)) * n ** ((5 * s - 6) / (5 * s - 4) + e)
+        + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
+    )
+
+
+def _spheres_6_11(m, n, e):
+    return _pw(m, 6, 11) * n ** (9 / 11 + e) + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
+
+
+def _degree_plan(m, n, k, a, a_prime, c):
+    return float(partition.plan_degree(int(m), int(n), k, a=a, a_prime=a_prime, c=c).D)
+
+
+_FORMULAS = {
+    "PS_planar": ((_M, _N, _K), _k_dof_planar),
+    "SZ_planar": ((_M, _N, _S, _eps), _s_param_planar),
+    "circles_planar": ((_M, _N), lambda m, n: (
+        _pw(m, 2, 3) * _pw(n, 2, 3)
+        + _pw(m, 6, 11) * _pw(n, 9, 11) * _clamped_log(m**3 / n) ** (2 / 11)
+        + m + n
+    )),
+    "curves3d_main": ((_M, _N, _Q, _K), lambda m, n, q, k: (
+        _pw(m, k, 3 * k - 2) * _pw(n, 3 * k - 3, 3 * k - 2)
+        + _pw(m, k, 2 * k - 1) * _pw(n, k - 1, 2 * k - 1) * _pw(q, k - 1, 2 * k - 1)
+        + m + n
+    )),
+    "curves3d_improved": ((_M, _N, _Q, _K, _S, _eps), lambda m, n, q, k, s, e: (
+        _pw(m, k, 3 * k - 2) * _pw(n, 3 * k - 3, 3 * k - 2)
+        + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
+        + m ** (2 * s / (5 * s - 4)) * n ** ((3 * s - 4) / (5 * s - 4))
+        * q ** ((2 * s - 2) / (5 * s - 4) + e)
+        + m + n
+    )),
+    "circles3d": ((_M, _N, _Q), lambda m, n, q: (
+        _pw(m, 3, 7) * _pw(n, 6, 7)
+        + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
+        + _pw(m, 6, 11) * _pw(n, 5, 11) * _pw(q, 4, 11)
+        * _clamped_log(m**3 / q) ** (2 / 11)
+        + m + n
+    )),
+    "KST_naive": ((_M, _N, _K), lambda m, n, k: m * _pw(n, k - 1, k) + n),
+    "lines_GK": ((_M, _N, _Q), lambda m, n, q: (
+        _pw(m, 1, 2) * _pw(n, 3, 4)
+        + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
+        + m + n
+    )),
+    "variety_k": ((_M, _N, _K), _k_dof_planar),
+    "variety_s": ((_M, _N, _S, _eps), _s_param_planar),
+    "mixed_k": ((_M, _N, _K), _k_dof_planar),
+    "mixed_s": ((_M, _N, _S, _eps), _s_param_planar),
+    "spheres_variety": ((_M, _N, _eps), lambda m, n, e: (
+        _pw(m, 1, 2) * n ** (7 / 8 + e) + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
+    )),
+    "spheres_3dim": ((_M, _N, _eps), _spheres_6_11),
+    "spheres_2dim": ((_M, _N), lambda m, n: _pw(m, 2, 3) * _pw(n, 2, 3) + m + n),
+    "dd_variety": ((_param("n", minimum=2), _eps), lambda n, e: n ** (7 / 9 - e)),
+    "dd_bipartite": ((_M, _N, _eps), lambda m, n, e: min(
+        m ** (4 / 7 - e) * n ** (1 / 7 - e), _pw(m, 1, 2) * _pw(n, 1, 2), m
+    )),
+    "unit_variety": ((_N,), lambda n: _pw(n, 4, 3)),
+    "unit_bipartite": ((_M, _N, _eps), _spheres_6_11),
+    "general_surfaces": ((_M, _N, _S, _eps), lambda m, n, s, e: (
+        m ** (2 * s / (3 * s - 1)) * n ** ((3 * s - 3) / (3 * s - 1) + e) + m + n
+    )),
+    "rich_points_a": ((_N, _Q, _R, _K), lambda n, q, r, k: (
+        _pw(n, 3, 2) / _pw(r, 3 * k - 2, 2 * k - 2)
+        + n * q / _pw(r, 2 * k - 1, k - 1)
+        + n / r
+    )),
+    "rich_points_b": ((_N, _Q, _R, _K, _S, _eps), lambda n, q, r, k, s, e: (
+        _pw(n, 3, 2) / _pw(r, 3 * k - 2, 2 * k - 2)
+        + n * q ** ((2 * s - 2) / (3 * s - 4) + e) / r ** ((5 * s - 4) / (3 * s - 4))
+        + n / r
+    )),
+    "similar_triangles": ((_N,), lambda n: _pw(n, 15, 7)),
+    "degree_plan": (
+        (_M, _N, _K, _constant("a"), _constant("a_prime"), _constant("c")), _degree_plan
+    ),
+}
+
+FORMULA_NAMES = tuple(_FORMULAS)
+
+
 def eval_bound(f: BoundFormula) -> float:
     """Numeric value of the named bound formula with unit constants."""
-    p = f.params
-    name = f.name
-
-    if name == "PS_planar":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        k = _get(p, "k", integer=True, minimum=2)
-        return _pw(m, k, 2 * k - 1) * _pw(n, 2 * k - 2, 2 * k - 1) + m + n
-
-    if name == "SZ_planar":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        s = _get(p, "s", integer=True, minimum=2)
-        e = _eps(p)
-        return (
-            m ** (2 * s / (5 * s - 4)) * n ** ((5 * s - 6) / (5 * s - 4) + e)
-            + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
-        )
-
-    if name == "circles_planar":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        return (
-            _pw(m, 2, 3) * _pw(n, 2, 3)
-            + _pw(m, 6, 11) * _pw(n, 9, 11) * _clamped_log(m**3 / n) ** (2 / 11)
-            + m + n
-        )
-
-    if name == "curves3d_main":
-        m, n, q = _get(p, "m", minimum=1), _get(p, "n", minimum=1), _get(p, "q", minimum=1)
-        k = _get(p, "k", integer=True, minimum=2)
-        return (
-            _pw(m, k, 3 * k - 2) * _pw(n, 3 * k - 3, 3 * k - 2)
-            + _pw(m, k, 2 * k - 1) * _pw(n, k - 1, 2 * k - 1) * _pw(q, k - 1, 2 * k - 1)
-            + m + n
-        )
-
-    if name == "curves3d_improved":
-        m, n, q = _get(p, "m", minimum=1), _get(p, "n", minimum=1), _get(p, "q", minimum=1)
-        k = _get(p, "k", integer=True, minimum=2)
-        s = _get(p, "s", integer=True, minimum=2)
-        e = _eps(p)
-        return (
-            _pw(m, k, 3 * k - 2) * _pw(n, 3 * k - 3, 3 * k - 2)
-            + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
-            + m ** (2 * s / (5 * s - 4)) * n ** ((3 * s - 4) / (5 * s - 4))
-            * q ** ((2 * s - 2) / (5 * s - 4) + e)
-            + m + n
-        )
-
-    if name == "circles3d":
-        m, n, q = _get(p, "m", minimum=1), _get(p, "n", minimum=1), _get(p, "q", minimum=1)
-        return (
-            _pw(m, 3, 7) * _pw(n, 6, 7)
-            + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
-            + _pw(m, 6, 11) * _pw(n, 5, 11) * _pw(q, 4, 11)
-            * _clamped_log(m**3 / q) ** (2 / 11)
-            + m + n
-        )
-
-    if name == "KST_naive":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        k = _get(p, "k", integer=True, minimum=2)
-        return m * _pw(n, k - 1, k) + n
-
-    if name == "lines_GK":
-        m, n, q = _get(p, "m", minimum=1), _get(p, "n", minimum=1), _get(p, "q", minimum=1)
-        return (
-            _pw(m, 1, 2) * _pw(n, 3, 4)
-            + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
-            + m + n
-        )
-
-    if name in ("variety_k", "mixed_k"):
-        return eval_bound(BoundFormula("PS_planar", p))
-
-    if name in ("variety_s", "mixed_s"):
-        return eval_bound(BoundFormula("SZ_planar", p))
-
-    if name == "spheres_variety":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        e = _eps(p)
-        return _pw(m, 1, 2) * n ** (7 / 8 + e) + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
-
-    if name == "spheres_3dim":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        e = _eps(p)
-        return _pw(m, 6, 11) * n ** (9 / 11 + e) + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
-
-    if name == "spheres_2dim":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        return _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
-
-    if name == "dd_variety":
-        n = _get(p, "n", minimum=2)
-        e = _eps(p)
-        return n ** (7 / 9 - e)
-
-    if name == "dd_bipartite":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        e = _eps(p)
-        return min(
-            m ** (4 / 7 - e) * n ** (1 / 7 - e), _pw(m, 1, 2) * _pw(n, 1, 2), m
-        )
-
-    if name == "unit_variety":
-        n = _get(p, "n", minimum=1)
-        return _pw(n, 4, 3)
-
-    if name == "unit_bipartite":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        e = _eps(p)
-        return _pw(m, 6, 11) * n ** (9 / 11 + e) + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
-
-    if name == "general_surfaces":
-        m, n = _get(p, "m", minimum=1), _get(p, "n", minimum=1)
-        s = _get(p, "s", integer=True, minimum=2)
-        e = _eps(p)
-        return (
-            m ** (2 * s / (3 * s - 1)) * n ** ((3 * s - 3) / (3 * s - 1) + e) + m + n
-        )
-
-    if name == "rich_points_a":
-        n, q = _get(p, "n", minimum=1), _get(p, "q", minimum=1)
-        r = _get(p, "r", minimum=2)
-        k = _get(p, "k", integer=True, minimum=2)
-        return (
-            _pw(n, 3, 2) / _pw(r, 3 * k - 2, 2 * k - 2)
-            + n * q / _pw(r, 2 * k - 1, k - 1)
-            + n / r
-        )
-
-    if name == "rich_points_b":
-        n, q = _get(p, "n", minimum=1), _get(p, "q", minimum=1)
-        r = _get(p, "r", minimum=2)
-        k = _get(p, "k", integer=True, minimum=2)
-        s = _get(p, "s", integer=True, minimum=2)
-        if 3 * s - 4 <= 0:
-            raise OutOfRange("rich_points_b needs s >= 2")
-        e = _eps(p)
-        return (
-            _pw(n, 3, 2) / _pw(r, 3 * k - 2, 2 * k - 2)
-            + n * q ** ((2 * s - 2) / (3 * s - 4) + e) / r ** ((5 * s - 4) / (3 * s - 4))
-            + n / r
-        )
-
-    if name == "similar_triangles":
-        n = _get(p, "n", minimum=1)
-        return _pw(n, 15, 7)
-
-    if name == "degree_plan":
-        m = int(_get(p, "m", minimum=1))
-        n = int(_get(p, "n", minimum=1))
-        k = _get(p, "k", integer=True, minimum=2)
-        plan = partition.plan_degree(
-            m, n, k,
-            a=Fraction(p.get("a", 1)), a_prime=Fraction(p.get("a_prime", 1)),
-            c=Fraction(p.get("c", 1)),
-        )
-        return float(plan.D)
-
-    raise ValidationError(f"unknown bound formula {f.name!r}")
-
-
-FORMULA_NAMES = (
-    "PS_planar", "SZ_planar", "circles_planar", "curves3d_main",
-    "curves3d_improved", "circles3d", "KST_naive", "lines_GK",
-    "variety_k", "variety_s", "mixed_k", "mixed_s",
-    "spheres_variety", "spheres_3dim", "spheres_2dim",
-    "dd_variety", "dd_bipartite", "unit_variety", "unit_bipartite",
-    "general_surfaces", "rich_points_a", "rich_points_b",
-    "similar_triangles", "degree_plan",
-)
+    if f.name not in _FORMULAS:
+        raise ValidationError(f"unknown bound formula {f.name!r}")
+    readers, evaluator = _FORMULAS[f.name]
+    try:
+        value = evaluator(*(read(f.params) for read in readers))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OutOfRange(f"{f.name} overflows a float at these parameters")
+    return value
 
 
 def verify_instance(

@@ -9,22 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import apps, bounds, construct, engine, io, partition
 from .errors import SearchFailure, ValidationError
 from .geom import Line, point
-
-
-def _threads() -> int:
-    # no internal thread pool yet; the env var is validated and capped at 1
-    raw = os.environ.get("INCLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"INCLAB_THREADS must be an integer, got {raw!r}")
 
 
 def _read(path: str) -> str:
@@ -73,10 +63,11 @@ def _cmd_generate(args) -> int:
         pts = [tuple(io.parse_rational(c) for c in p.split(":")) for p in (args.point or [])]
         inst = construct.gen_paraboloid_lift(lines, witnesses, pts)
     elif kind == "packing":
+        objects = _load_objects(args.objects)
         template = construct.Instance(
             _load_points(args.points),
-            curves=[o for o in _load_objects(args.objects) if not _is_surface(o)],
-            surfaces=[o for o in _load_objects(args.objects) if _is_surface(o)],
+            curves=[o for o in objects if not _is_surface(o)],
+            surfaces=[o for o in objects if _is_surface(o)],
         )
         inst = construct.gen_packing_copies(template, args.copies, args.seed)
     elif kind == "variety":
@@ -337,7 +328,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads()
         return _HANDLERS[args.command](args)
     except ValidationError as exc:
         sys.stderr.write(json.dumps({"error": "validation", "message": str(exc)}) + "\n")

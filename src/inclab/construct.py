@@ -3,11 +3,10 @@ random rational points on varieties, and distance/unit sphere families."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import engine, geom
 from .errors import GenericityFailure, GuardExceeded, ValidationError
@@ -29,35 +28,11 @@ from .geom import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    k: int
-    mu: int
-    s: int
-    E: int
-    q: Optional[int] = None
-    epsilon: Fraction = Fraction(1, 100)
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", frac(self.epsilon))
-        if self.k < 1 or self.mu < 1 or self.s < 1 or self.E < 1:
-            raise ValidationError("family parameters must be >= 1")
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be > 0")
-
-
-LINES_FAMILY = FamilyDescriptor(k=2, mu=1, s=4, E=1)
-CIRCLES_FAMILY = FamilyDescriptor(k=3, mu=2, s=6, E=2)
-PARABOLAS_FAMILY = FamilyDescriptor(k=2, mu=1, s=2, E=2)
-SPHERES_FAMILY = FamilyDescriptor(k=3, mu=2, s=4, E=2)
-
-
 @dataclass
 class Instance:
     points: list[Point3]
     curves: list[Curve] = field(default_factory=list)
     surfaces: list[Surface] = field(default_factory=list)
-    family: FamilyDescriptor = LINES_FAMILY
     label: str = ""
 
 
@@ -78,7 +53,7 @@ def gen_elekes_grid(kk: int) -> Instance:
         for a in range(1, kk + 1)
         for b in range(1, kk**2 + 1)
     ]
-    return Instance(pts, curves=lines, family=LINES_FAMILY, label=f"elekes kk={kk}")
+    return Instance(pts, curves=lines, label=f"elekes kk={kk}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +95,7 @@ def gen_paraboloid_lift(
     ]
     pts = [lift_point(x, y) for x, y in planar_points]
     return Instance(
-        pts, curves=curves, surfaces=surfaces, family=PARABOLAS_FAMILY,
+        pts, curves=curves, surfaces=surfaces,
         label=f"paraboloid lift of {len(params)} lines",
     )
 
@@ -178,7 +153,7 @@ def gen_packing_copies(template: Instance, copies: int, seed: int) -> Instance:
         if total != copies * base_count:
             continue
         return Instance(
-            pts, curves=curves, surfaces=surfaces, family=template.family,
+            pts, curves=curves, surfaces=surfaces,
             label=f"{copies} copies of ({template.label})",
         )
     raise GenericityFailure("no disjoint packing found in 16 reseeds")
@@ -222,19 +197,16 @@ def gen_random_on_variety(
             pts.add(point(
                 cx + r * 2 * u / w, cy + r * 2 * v / w, cz + r * (u * u + v * v - 1) / w
             ))
-        fam = SPHERES_FAMILY
     elif which == "paraboloid":
         while len(pts) < n:
             pts.add(lift_point(rand_q(), rand_q()))
-        fam = PARABOLAS_FAMILY
     elif which == "plane":
         while len(pts) < n:
             pts.add(point(rand_q(), rand_q(), 0))
-        fam = LINES_FAMILY
     else:
         raise ValidationError(f"unknown variety {which!r}")
     ordered = sorted(pts, key=lambda p: (p.x, p.y, p.z))
-    return Instance(ordered, family=fam, label=f"{n} random points on {which}")
+    return Instance(ordered, label=f"{n} random points on {which}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import geom
 from .errors import (
@@ -36,7 +36,6 @@ from .geom import (
     point_on_curve,
     point_on_surface,
     primitive_vector,
-    surface_contains_curve,
     surface_pair_intersection,
     vadd,
     vscale,
@@ -55,9 +54,6 @@ class IncidenceGraph:
     point_ids: tuple[int, ...]
     object_ids: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
-
-    def degree_of_object(self, oid: int) -> int:
-        return sum(1 for (_, o) in self.edges if o == oid)
 
 
 def count_incidences(points: Sequence[Point3], objects: Sequence) -> tuple[int, IncidenceGraph]:
@@ -187,8 +183,6 @@ PlanarCurveRecord = tuple[str, tuple[Fraction, ...]]
 class PlanarInstance:
     points2: list[tuple[Fraction, Fraction]]
     curves2: list[PlanarCurveRecord]
-    point_provenance: dict[int, int] = field(default_factory=dict)
-    curve_provenance: dict[int, int] = field(default_factory=dict)
 
 
 def planar_incident(pt: tuple[Fraction, Fraction], record: PlanarCurveRecord) -> bool:
@@ -304,12 +298,7 @@ def project_generic(points: Sequence[Point3], curves: Sequence[Curve], seed: int
         )
         if not preserved:
             continue
-        return PlanarInstance(
-            points2,
-            curves2,
-            {i: i for i in range(len(points))},
-            {i: i for i in range(len(curves))},
-        )
+        return PlanarInstance(points2, curves2)
     raise GenericityFailure("no valid generic projection in 16 attempts")
 
 
@@ -340,10 +329,6 @@ def common_sphere(c1: Circle, c2: Circle) -> Optional[Sphere]:
         if c2.radius2 + geom.dist2(o, c2.center) == r2:
             return Sphere(o, r2)
     return None
-
-
-def circle_in_sphere(circle: Circle, sphere: Sphere) -> bool:
-    return surface_contains_curve(sphere, circle)
 
 
 def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[Surface]]:

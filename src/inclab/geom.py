@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from . import roots
 from .errors import CoincidentObjects, UnsupportedObject, ValidationError
-
-Scalar = Fraction
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
@@ -155,12 +154,6 @@ class TriPoly:
         return cls({(0, 0, 0): frac(c)})
 
     @classmethod
-    def variable(cls, axis: int) -> "TriPoly":
-        mono = [0, 0, 0]
-        mono[axis] = 1
-        return cls({tuple(mono): Fraction(1)})
-
-    @classmethod
     def linear(cls, a, b, c, d) -> "TriPoly":
         """a*x + b*y + c*z + d."""
         return cls(
@@ -254,7 +247,7 @@ class TriPoly:
             term = [c]
             for axis, e in ((0, i), (1, j), (2, k)):
                 for _ in range(e):
-                    term = _umul(term, axes[axis])
+                    term = roots.umul(term, axes[axis])
             total = _uadd(total, term)
         while len(total) > 1 and total[-1] == 0:
             total.pop()
@@ -286,14 +279,6 @@ def _uadd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     ]
 
 
-def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
 # ---------------------------------------------------------------------------
 # surfaces
 
@@ -315,9 +300,6 @@ class Plane:
     def normal(self) -> Vec3:
         return (self.a, self.b, self.c)
 
-    def defining_poly(self) -> TriPoly:
-        return TriPoly.linear(self.a, self.b, self.c, self.d)
-
 
 @dataclass(frozen=True)
 class Sphere:
@@ -328,20 +310,6 @@ class Sphere:
         object.__setattr__(self, "radius2", frac(self.radius2))
         if self.radius2 <= 0:
             raise ValidationError("sphere needs radius2 > 0")
-
-    def defining_poly(self) -> TriPoly:
-        cx, cy, cz = self.center.as_tuple()
-        return TriPoly(
-            {
-                (2, 0, 0): Fraction(1),
-                (0, 2, 0): Fraction(1),
-                (0, 0, 2): Fraction(1),
-                (1, 0, 0): -2 * cx,
-                (0, 1, 0): -2 * cy,
-                (0, 0, 1): -2 * cz,
-                (0, 0, 0): cx * cx + cy * cy + cz * cz - self.radius2,
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -483,10 +451,6 @@ def canonicalize(obj):
 
 # ---------------------------------------------------------------------------
 # incidence predicates
-
-def eval_poly(f: TriPoly, p: Point3) -> Fraction:
-    return f.evaluate(p)
-
 
 def point_on_surface(p: Point3, surface: Surface) -> bool:
     if isinstance(surface, Plane):
@@ -702,7 +666,3 @@ def surface_contains_curve(surface: Surface, curve: Curve) -> bool:
             return on_axis and norm2(offset) + curve.radius2 == surface.radius2
         raise UnsupportedObject("containment undefined for implicit curves")
     raise UnsupportedObject("containment undefined for implicit surfaces")
-
-
-def line_through(p: Point3, q: Point3) -> Line:
-    return Line(p, vsub(q.as_tuple(), p.as_tuple()))

@@ -14,14 +14,12 @@ from typing import Sequence
 from .errors import ValidationError
 from .geom import (
     Circle,
-    Curve,
     Implicit,
     ImplicitPair,
     Line,
     Plane,
     Point3,
     Sphere,
-    Surface,
     TriPoly,
     point,
 )
@@ -35,7 +33,7 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(s: str) -> Fraction:
     try:
         return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:  # AttributeError: not a string
         raise ValidationError(f"bad rational {s!r}") from exc
 
 
@@ -67,11 +65,13 @@ def points_from_csv(text: str) -> list[Point3]:
 # ---------------------------------------------------------------------------
 # tagged object records
 
-def _tripoly_to_record(f: TriPoly) -> dict:
+def tripoly_to_record(f: TriPoly) -> dict:
     return {f"{i},{j},{k}": format_rational(c) for (i, j, k), c in sorted(f.terms.items())}
 
 
-def _tripoly_from_record(rec: dict) -> TriPoly:
+def tripoly_from_record(rec: dict) -> TriPoly:
+    if not isinstance(rec, dict):
+        raise ValidationError("polynomial record must be a JSON object")
     terms = {}
     for key, val in rec.items():
         try:
@@ -92,7 +92,7 @@ def object_to_record(obj) -> dict:
             "radius2": format_rational(obj.radius2),
         }
     if isinstance(obj, Implicit):
-        return {"kind": "implicit", "poly": _tripoly_to_record(obj.poly)}
+        return {"kind": "implicit", "poly": tripoly_to_record(obj.poly)}
     if isinstance(obj, Line):
         return {
             "kind": "line",
@@ -109,8 +109,8 @@ def object_to_record(obj) -> dict:
     if isinstance(obj, ImplicitPair):
         return {
             "kind": "implicit_pair",
-            "f": _tripoly_to_record(obj.f),
-            "g": _tripoly_to_record(obj.g),
+            "f": tripoly_to_record(obj.f),
+            "g": tripoly_to_record(obj.g),
         }
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
@@ -126,7 +126,7 @@ def object_from_record(rec: dict):
             return Sphere(point(*(parse_rational(c) for c in rec["center"])),
                           parse_rational(rec["radius2"]))
         if kind == "implicit":
-            return Implicit(_tripoly_from_record(rec["poly"]))
+            return Implicit(tripoly_from_record(rec["poly"]))
         if kind == "line":
             return Line(point(*(parse_rational(c) for c in rec["origin"])),
                         tuple(parse_rational(c) for c in rec["direction"]))
@@ -135,7 +135,7 @@ def object_from_record(rec: dict):
                           tuple(parse_rational(c) for c in rec["normal"]),
                           parse_rational(rec["radius2"]))
         if kind == "implicit_pair":
-            return ImplicitPair(_tripoly_from_record(rec["f"]), _tripoly_from_record(rec["g"]))
+            return ImplicitPair(tripoly_from_record(rec["f"]), tripoly_from_record(rec["g"]))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed {kind!r} record") from exc
     raise ValidationError(f"unknown object kind {kind!r}")

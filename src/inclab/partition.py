@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from . import roots
+from . import io, roots
 from .errors import BudgetExhausted, GuardExceeded, ValidationError
 from .geom import Line, Point3, TriPoly, frac
 
@@ -43,10 +43,6 @@ class Regime(Enum):
 class DegreePlan:
     regime: Regime
     D: int
-    a: Fraction
-    a_prime: Fraction
-    c: Fraction
-    k: int
 
 
 def plan_degree(m: int, n: int, k: int, a=1, a_prime=1, c=1) -> DegreePlan:
@@ -66,13 +62,13 @@ def plan_degree(m: int, n: int, k: int, a=1, a_prime=1, c=1) -> DegreePlan:
         raise ValidationError("constants must be positive")
     # m < a' * n^(1/k)  <=>  (m/a')^k < n, exactly in rationals
     if (Fraction(m) / a_prime) ** k < n:
-        return DegreePlan(Regime.NAIVE_ONLY, 0, a, a_prime, c, k)
+        return DegreePlan(Regime.NAIVE_ONLY, 0)
     # m > a * n^(3/2)  <=>  (m/a)^2 > n^3
     if (Fraction(m) / a) ** 2 > Fraction(n) ** 3:
         d = max(1, round(float(c) * math.sqrt(n)))
-        return DegreePlan(Regime.LARGE_M, d, a, a_prime, c, k)
+        return DegreePlan(Regime.LARGE_M, d)
     d = max(1, round(float(c) * m ** (k / (3 * k - 2)) / n ** (1 / (3 * k - 2))))
-    return DegreePlan(Regime.SMALL_M, d, a, a_prime, c, k)
+    return DegreePlan(Regime.SMALL_M, d)
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +128,8 @@ def _best_threshold(cell_values: list[list[Fraction]], limits: list[Fraction]):
     candidates.append(merged[-1] + 1)
     best = None
     for theta in candidates:
-        worst = Fraction(0)
-        ok = True
-        for vals, limit in zip(cell_values, limits):
-            below = bisect.bisect_left(vals, theta)
-            above = len(vals) - bisect.bisect_right(vals, theta)
-            if below > limit or above > limit:
-                ok = False
-                break
-            worst = max(worst, Fraction(max(below, above), len(vals)))
-        if ok and (best is None or worst < best[0]):
+        worst = _verify_threshold(cell_values, limits, theta)
+        if worst is not None and (best is None or worst < best[0]):
             best = (worst, theta)
     return best
 
@@ -350,21 +338,12 @@ def partition_to_jsonable(part: PartitionPolynomial) -> dict:
         "rounds": part.rounds,
         "delta": str(part.delta),
         "seed": part.seed,
-        "factors": [
-            {f"{i},{j},{k}": str(c) for (i, j, k), c in sorted(f.terms.items())}
-            for f in part.round_factors
-        ],
+        "factors": [io.tripoly_to_record(f) for f in part.round_factors],
     }
 
 
 def partition_from_jsonable(data: dict) -> PartitionPolynomial:
-    factors = []
-    for fdata in data["factors"]:
-        terms = {}
-        for key, val in fdata.items():
-            i, j, k = (int(x) for x in key.split(","))
-            terms[(i, j, k)] = Fraction(val)
-        factors.append(TriPoly(terms))
     return PartitionPolynomial(
-        factors, int(data["rounds"]), Fraction(data["delta"]), int(data["seed"])
+        [io.tripoly_from_record(f) for f in data["factors"]],
+        int(data["rounds"]), Fraction(data["delta"]), int(data["seed"]),
     )

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,10 +44,55 @@ class TestEvalBound:
         with pytest.raises(ValidationError):
             bounds.eval_bound(BoundFormula("nope", {}))
 
+    # pinned eval_bound values at m=500, n=900, q=40, r=4 for k=s=3 and for k=s=2
+    GOLDEN = {
+        "PS_planar": (11011.16449261042, 7272.301461753293),
+        "SZ_planar": (15567.282349754183, 13557.959752180279),
+        "circles_planar": (19418.415456633193, 19418.415456633193),
+        "curves3d_main": (9051.826862228188, 7154.3184372266705),
+        "curves3d_improved": (10957.323365229802, 9312.566880811828),
+        "circles3d": (12450.355653870156, 12450.355653870156),
+        "KST_naive": (47508.48758930787, 15900.0),
+        "lines_GK": (7154.3184372266705, 7154.3184372266705),
+        "variety_k": (11011.16449261042, 7272.301461753293),
+        "variety_s": (15567.282349754183, 13557.959752180279),
+        "mixed_k": (11011.16449261042, 7272.301461753293),
+        "mixed_s": (15567.282349754183, 13557.959752180279),
+        "spheres_variety": (16476.577250839742, 16476.577250839742),
+        "spheres_3dim": (15567.282349754183, 15567.282349754183),
+        "spheres_2dim": (7272.301461753293, 7272.301461753293),
+        "dd_variety": (185.43928705149403, 185.43928705149403),
+        "dd_bipartite": (80.86695549747675, 80.86695549747675),
+        "unit_variety": (8689.404461450664, 8689.404461450664),
+        "unit_bipartite": (15567.282349754183, 15567.282349754183),
+        "general_surfaces": (19997.38194116883, 10546.689452814991),
+        "rich_points_a": (3736.485386504598, 2475.0),
+        "rich_points_b": (3457.5024480319157, 2496.137416945749),
+        "similar_triangles": (2140521.8386833468, 2140521.8386833468),
+        "degree_plan": (5.0, 4.0),
+    }
+
     def test_all_formulas_evaluate(self):
-        params = {"m": 500, "n": 900, "q": 40, "k": 3, "s": 3, "r": 4}
-        for name in bounds.FORMULA_NAMES:
-            assert bounds.eval_bound(BoundFormula(name, params)) >= 0
+        assert set(self.GOLDEN) == set(bounds.FORMULA_NAMES)
+        for name, expected in self.GOLDEN.items():
+            for ks, value in zip((3, 2), expected):
+                params = {"m": 500, "n": 900, "q": 40, "r": 4, "k": ks, "s": ks}
+                got = bounds.eval_bound(BoundFormula(name, params))
+                assert got == pytest.approx(value, rel=1e-12), (name, ks)
+
+    def test_non_integer_k_and_s(self):
+        with pytest.raises(OutOfRange):
+            bounds.eval_bound(BoundFormula("PS_planar", {"m": 10, "n": 10, "k": Fraction(5, 2)}))
+        with pytest.raises(OutOfRange):
+            bounds.eval_bound(BoundFormula("SZ_planar", {"m": 10, "n": 10, "s": Fraction(7, 3)}))
+        v = bounds.eval_bound(BoundFormula("PS_planar", {"m": 10, "n": 10, "k": Fraction(4, 2)}))
+        assert v == bounds.eval_bound(BoundFormula("PS_planar", {"m": 10, "n": 10, "k": 2}))
+
+    def test_bound_too_large_for_float(self):
+        with pytest.raises(OutOfRange):
+            bounds.eval_bound(BoundFormula("similar_triangles", {"n": 10**200}))
+        with pytest.raises(OutOfRange):
+            bounds.eval_bound(BoundFormula("lines_GK", {"m": 10**400, "n": 4, "q": 4}))
 
     def test_monotone_in_m_and_n(self):
         base = {"m": 500, "n": 900, "q": 40, "k": 3, "s": 3, "r": 4}

@@ -55,6 +55,12 @@ class TestObjectRecords:
         with pytest.raises(ValidationError):
             io.object_from_record({"kind": "torus"})
 
+    def test_malformed_values(self):
+        with pytest.raises(ValidationError):
+            io.object_from_record({"kind": "sphere", "center": [0, 0, 0], "radius2": 1})
+        with pytest.raises(ValidationError):
+            io.object_from_record({"kind": "implicit", "poly": ["1"]})
+
     def test_bad_json(self):
         with pytest.raises(ValidationError):
             io.objects_from_json("{not json")
@@ -89,6 +95,40 @@ class TestCli:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["bound"] == 106496.0 and payload["ratio"] == 0.0
+
+    def test_verify_large_perfect_power_exponent(self, capsys):
+        cases = [
+            ("PS_planar", "m=1000,n=1000,k=200"),
+            ("KST_naive", "m=10,n=1000,k=120"),
+            ("rich_points_a", "n=1000,q=10,r=1000,k=60"),
+        ]
+        for formula, params in cases:
+            assert self.run(
+                "verify", "--formula", formula, "--params", params, "--observed", "5"
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["bound"] > 0 and payload["formula"] == formula
+
+    def test_verify_bound_overflow_is_validation_error(self, capsys):
+        assert self.run(
+            "verify", "--formula", "similar_triangles",
+            "--params", "n=" + "1" + "0" * 200, "--observed", "5",
+        ) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+
+    def test_generate_packing(self, tmp_path, capsys):
+        prefix, packed = str(tmp_path / "t"), str(tmp_path / "pk")
+        assert self.run("generate", "elekes", "--k", "2", "--out-prefix", prefix) == 0
+        assert self.run(
+            "generate", "packing", "--points", prefix + ".points.csv",
+            "--objects", prefix + ".objects.json", "--copies", "3", "--seed", "1",
+            "--out-prefix", packed,
+        ) == 0
+        assert self.run(
+            "count", "--points", packed + ".points.csv", "--objects", packed + ".objects.json"
+        ) == 0
+        assert json.loads(capsys.readouterr().out) == {"incidences": 3 * 16}
 
     def test_partition_census(self, tmp_path, capsys):
         prefix = str(tmp_path / "g")

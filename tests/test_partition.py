@@ -129,3 +129,8 @@ class TestSerialization:
         assert partition.partition_to_jsonable(back) == data
         for p in pts:
             assert partition.classify(p, part) == partition.classify(p, back)
+
+    def test_bad_factor_key(self):
+        data = {"rounds": 1, "delta": "1/4", "seed": 0, "factors": [{"1,x,0": "1"}]}
+        with pytest.raises(ValidationError):
+            partition.partition_from_jsonable(data)
