@@ -4,7 +4,6 @@ census via the circle-locus reduction."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -38,13 +37,9 @@ def repeated_distances(P: Sequence[Point3], d2) -> int:
     d2 = frac(d2)
     if d2 <= 0:
         raise ValidationError("d2 must be > 0")
-    # scale to integers once so the pair loop runs on machine ints
-    denoms = [c.denominator for p in P for c in p.as_tuple()] + [d2.denominator]
-    scale = math.lcm(*denoms)
-    coords = [
-        (int(p.x * scale), int(p.y * scale), int(p.z * scale)) for p in P
-    ]
-    target = d2 * scale * scale
+    # integer coordinates: a target that is not an integer is never reached
+    coords, den = geom.integer_coords(P)
+    target = d2 * den * den
     if target.denominator != 1:
         return 0
     target = int(target)

@@ -213,7 +213,10 @@ def _cmd_report(args) -> int:
         fields = row.split(",")
         if len(fields) != 2:
             raise ValidationError(f"series row needs scale,observed: {row!r}")
-        series.append((int(fields[0]), int(fields[1])))
+        try:
+            series.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise ValidationError(f"series row needs two integers: {row!r}") from None
     payload = {"series": series}
     if args.fit:
         slope, intercept, residual = bounds.fit_exponent(series)
@@ -333,7 +336,10 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps({"error": "validation", "message": str(exc)}) + "\n")
         return 1
     except SearchFailure as exc:
-        sys.stderr.write(json.dumps({"error": "search", "message": str(exc)}) + "\n")
+        record = {"error": "search", "message": str(exc)}
+        if getattr(exc, "best_imbalance", None) is not None:
+            record["best_imbalance"] = str(exc.best_imbalance)
+        sys.stderr.write(json.dumps(record) + "\n")
         return 2
 
 

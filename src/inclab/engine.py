@@ -349,13 +349,9 @@ def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[S
     # holding c circles is named by all C(c, 2) of its pairs
     sphere_hits: dict[tuple, int] = {}
     sphere_by_key: dict[tuple, Sphere] = {}
-    # scale the skew-axes filter to machine integers: canonical normals are
-    # already primitive integers, centers need one global denominator clear
-    scale = math.lcm(*(c.denominator for circ in circles for c in circ.center.as_tuple()))
-    icenters = [
-        (int(c.center.x * scale), int(c.center.y * scale), int(c.center.z * scale))
-        for c in circles
-    ]
+    # the skew-axes filter runs on integers: canonical normals are already
+    # primitive integers, centers are scaled by one common denominator
+    icenters, _ = geom.integer_coords(c.center for c in circles)
     inormals = [tuple(int(x) for x in c.normal) for c in circles]
     for i, j in itertools.combinations(range(len(circles)), 2):
         n1, n2 = inormals[i], inormals[j]

@@ -46,7 +46,12 @@ class SearchFailure(InclabError):
 
 
 class BudgetExhausted(SearchFailure):
-    """Candidate budget exhausted without an accepted bisection polynomial."""
+    """Candidate budget exhausted without an accepted bisection polynomial.
+
+    best_imbalance is the smallest score (largest open side of any cell, as
+    a fraction of that cell) over the rejected candidates, when any was
+    scored.
+    """
 
     def __init__(self, message, best_imbalance=None):
         super().__init__(message)

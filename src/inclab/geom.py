@@ -112,6 +112,15 @@ def point(x, y, z) -> Point3:
     return Point3(frac(x), frac(y), frac(z))
 
 
+def integer_coords(points: Iterable[Point3]) -> tuple[list[tuple[int, int, int]], int]:
+    """The points' coordinates times their common denominator, as int
+    triples, and that denominator."""
+    points = list(points)
+    den = math.lcm(*(c.denominator for p in points for c in p.as_tuple()))
+    coords = [tuple(c.numerator * (den // c.denominator) for c in p.as_tuple()) for p in points]
+    return coords, den
+
+
 def dist2(p: Point3, q: Point3) -> Fraction:
     return norm2(vsub(p.as_tuple(), q.as_tuple()))
 

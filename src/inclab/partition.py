@@ -4,18 +4,19 @@ Rounds of simultaneous approximate bisection: each round searches for one
 polynomial whose zero set splits every current cell into open sides holding
 at most a (1+delta)/2 fraction of that cell's points.  Cells are sign
 vectors of the round factors; points on any factor's zero set belong to the
-class Z and drop out of later rounds.  The search is randomized over
-Veronese-lifted linear functionals with rational coefficients snapped from
-floats; acceptance is decided by exact counting only.
+class Z.  The search is randomized over Veronese-lifted linear functionals
+with coefficients in 64ths snapped from Gaussian draws.  Coordinates are
+cleared of denominators once, so each candidate's lifted values are Python
+ints and one exact scan over doubled midpoint thresholds both ranks and
+certifies it; no point value ever sits on an accepted threshold.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import random
-
-import numpy
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Sequence, Union
 
 from . import io, roots
 from .errors import BudgetExhausted, GuardExceeded, ValidationError
-from .geom import Line, Point3, TriPoly, frac
+from .geom import Line, Point3, TriPoly, frac, integer_coords
 
 CellLabel = Union[tuple[str, ...], str]
 
@@ -105,72 +106,34 @@ def _monomials_up_to(d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _lift(p: Point3, monomials) -> list[Fraction]:
-    return [p.x**i * p.y**j * p.z**k for (i, j, k) in monomials]
+def _snap(x: float, denom: int = 64) -> int:
+    """Numerator of x rounded to a multiple of 1/denom."""
+    return round(x * denom)
 
 
-def _snap(x: float, denom: int = 64) -> Fraction:
-    return Fraction(round(x * denom), denom)
+def _best_threshold(cell_values: list[list[int]], pad: int) -> tuple[Fraction, int]:
+    """Exact scan of doubled thresholds over sorted integer cell values.
 
-
-def _best_threshold(cell_values: list[list[Fraction]], limits: list[Fraction]):
-    """Exact scan over candidate thresholds; returns the (score, theta)
-    minimizing the worst open-side fraction, or None if no theta meets the
-    per-cell limits.  cell_values are sorted."""
+    The candidates, in order, are 2(min - pad) and 2(max + pad), then a + b
+    for each pair of neighbouring distinct values a < b, so no value sits on
+    a threshold.  A threshold's score is the largest open side of any cell
+    as a fraction of that cell; returns the first (score, theta) with the
+    smallest score.
+    """
+    unit = math.lcm(*map(len, cell_values))
     merged = sorted({v for vals in cell_values for v in vals})
-    if not merged:
-        return None
-    candidates = [merged[0] - 1]
-    for a, b in zip(merged, merged[1:]):
-        candidates.append(a)
-        candidates.append((a + b) / 2)
-    candidates.append(merged[-1])
-    candidates.append(merged[-1] + 1)
+    thetas = [2 * (merged[0] - pad), 2 * (merged[-1] + pad)]
+    thetas.extend(a + b for a, b in zip(merged, merged[1:]))
     best = None
-    for theta in candidates:
-        worst = _verify_threshold(cell_values, limits, theta)
-        if worst is not None and (best is None or worst < best[0]):
+    for theta in thetas:
+        half = theta >> 1  # v < theta/2 exactly when v <= half
+        worst = 0
+        for vals in cell_values:
+            below = bisect.bisect_right(vals, half)
+            worst = max(worst, max(below, len(vals) - below) * (unit // len(vals)))
+        if best is None or worst < best[0]:
             best = (worst, theta)
-    return best
-
-
-def _float_best_threshold(fvals, limits):
-    """Float screening pass over midpoint thresholds; returns the most
-    balanced (score, theta) or None.  Results are only advisory: the caller
-    re-checks the chosen theta with exact arithmetic."""
-    merged = numpy.sort(numpy.unique(numpy.concatenate(fvals)))
-    if merged.size == 0:
-        return None
-    candidates = [merged[0] - 1.0, merged[-1] + 1.0]
-    if merged.size > 1:
-        candidates.extend(((merged[:-1] + merged[1:]) / 2.0).tolist())
-    best = None
-    flimits = [float(l) for l in limits]
-    for theta in candidates:
-        worst = 0.0
-        ok = True
-        for vals, limit in zip(fvals, flimits):
-            below = int(numpy.searchsorted(vals, theta, side="left"))
-            above = len(vals) - int(numpy.searchsorted(vals, theta, side="right"))
-            if below > limit or above > limit:
-                ok = False
-                break
-            worst = max(worst, max(below, above) / len(vals))
-        if ok and (best is None or worst < best[0]):
-            best = (worst, theta)
-    return best
-
-
-def _verify_threshold(cell_values, limits, theta):
-    """Exact feasibility check and score for one threshold."""
-    worst = Fraction(0)
-    for vals, limit in zip(cell_values, limits):
-        below = bisect.bisect_left(vals, theta)
-        above = len(vals) - bisect.bisect_right(vals, theta)
-        if below > limit or above > limit:
-            return None
-        worst = max(worst, Fraction(max(below, above), len(vals)))
-    return worst
+    return Fraction(best[0], unit), best[1]
 
 
 def build_partition(
@@ -190,20 +153,23 @@ def build_partition(
     if len(points) < 2**t:
         raise ValidationError(f"need at least 2^{t} points")
     rng = random.Random(seed)
+    limit = Fraction(1 + delta, 2)
+    coords, den = integer_coords(points)
     cells: list[list[int]] = [list(range(len(points)))]
     factors: list[TriPoly] = []
 
     for round_index in range(1, t + 1):
         d = round_degree(round_index)
         monomials = _monomials_up_to(d)
-        lifts = {pid: _lift(points[pid], monomials) for cell in cells for pid in cell}
-        limits = [Fraction(1 + delta, 2) * len(cell) for cell in cells]
-        # float copies drive candidate scoring; acceptance stays exact
-        flifts = [
-            numpy.array([[float(v) for v in lifts[pid]] for pid in cell]) for cell in cells
+        # den**d * x**i y**j z**k from integer coordinates: every lift is
+        # scaled by the same positive constant, and with weights in 64ths
+        # a value of pad is one unit of the factor's value
+        pad = 64 * den**d
+        lifts = [
+            [den ** (d - i - j - k) * x**i * y**j * z**k for (i, j, k) in monomials]
+            for (x, y, z) in coords
         ]
         accepted = None
-        best_score = None
         best_imbalance = None
         # stop early once no cell's larger open side exceeds half (rounded up)
         target = max(Fraction(-(-len(cell) // 2), len(cell)) for cell in cells)
@@ -221,65 +187,36 @@ def build_partition(
                 w[idx] += _snap(rng.gauss(0.0, 0.5))
             if all(c == 0 for c in w):
                 continue
-            wf = numpy.array([float(c) for c in w])
-            fvals = [numpy.sort(a @ wf) for a in flifts]
-            approx = _float_best_threshold(fvals, limits)
-            if approx is None:
-                worst = min(
-                    Fraction(max(len(v) // 2, len(v) - len(v) // 2), len(v)) for v in fvals
-                )
-                if best_imbalance is None or worst < best_imbalance:
-                    best_imbalance = worst
-                continue
-            fscore, ftheta = approx
-            if best_score is not None and fscore >= float(best_score):
-                continue
-            # exact re-check of the promising candidate before accepting it
             cell_values = [
-                sorted(sum(wc * lc for wc, lc in zip(w, lifts[pid])) for pid in cell)
+                sorted(sum(map(operator.mul, w, lifts[pid])) for pid in cell)
                 for cell in cells
             ]
-            score = _verify_threshold(cell_values, limits, Fraction(ftheta))
-            if score is None:
-                found = _best_threshold(cell_values, limits)
-                if found is None:
-                    continue
-                score, theta = found
-            else:
-                theta = Fraction(ftheta)
-            if best_score is None or score < best_score:
-                best_score = score
-                accepted = (w, theta)
+            score, theta = _best_threshold(cell_values, pad)
+            if score > limit:
+                if best_imbalance is None or score < best_imbalance:
+                    best_imbalance = score
+                continue
+            if accepted is None or score < accepted[0]:
+                accepted = (score, w, theta)
             if score <= target:
                 break
         if accepted is None:
             raise BudgetExhausted(
                 f"round {round_index}: no (1+{delta})-bisection found in {budget} candidates",
-                best_imbalance=float(best_imbalance) if best_imbalance is not None else None,
+                best_imbalance=best_imbalance,
             )
-        w, theta = accepted
-        terms = {mono: coeff for mono, coeff in zip(monomials, w) if coeff != 0}
-        terms[(0, 0, 0)] = terms.get((0, 0, 0), Fraction(0)) - theta
-        factor = TriPoly(terms)
-        factors.append(factor)
+        _, w, theta = accepted
+        terms = {mono: Fraction(c, 64) for mono, c in zip(monomials, w) if c != 0}
+        terms[(0, 0, 0)] = -Fraction(theta, 2 * pad)
+        factors.append(TriPoly(terms))
         new_cells = []
         for cell in cells:
             neg, pos = [], []
             for pid in cell:
-                value = sum(wc * lc for wc, lc in zip(w, lifts[pid]))
-                if value < theta:
-                    neg.append(pid)
-                elif value > theta:
-                    pos.append(pid)
-                # value == theta: the point is on Z(factor), drop from cells
-            for side in (neg, pos):
-                if side:
-                    new_cells.append(side)
+                value = sum(map(operator.mul, w, lifts[pid]))
+                (neg if 2 * value < theta else pos).append(pid)
+            new_cells.extend(side for side in (neg, pos) if side)
         cells = new_cells
-        if not cells and round_index < t:
-            raise BudgetExhausted(
-                f"round {round_index}: all points absorbed into Z before round {t}"
-            )
     return PartitionPolynomial(factors, t, delta, seed)
 
 

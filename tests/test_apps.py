@@ -45,6 +45,8 @@ class TestDistances:
     def test_repeated_rational(self):
         pts = [point(0, 0, 0), point(F(1, 2), 0, 0), point(1, 0, 0)]
         assert apps.repeated_distances(pts, F(1, 4)) == 2
+        # no two points of an integer set are at squared distance 1/3
+        assert apps.repeated_distances(UNIT_SQUARE, F(1, 3)) == 0
 
     def test_repeated_requires_positive(self):
         with pytest.raises(ValidationError):

@@ -178,6 +178,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["fit"]["slope"] == pytest.approx(2.0)
 
+    def test_report_non_integer_row(self, tmp_path, capsys):
+        spath = tmp_path / "s.csv"
+        spath.write_text("scale,observed\n1,a\n")
+        assert self.run("report", "--series", str(spath)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+
+    def test_partition_exhausted_record(self, tmp_path, capsys):
+        # two rounds on six points leave cells of 3 that no threshold bisects
+        pts = [point(0, 0, 0), point(5, 1, 2), point(-3, 7, 1),
+               point(2, -4, 6), point(8, 3, -5), point(-6, -2, 4)]
+        ppath = tmp_path / "six.csv"
+        ppath.write_text(io.points_to_csv(pts))
+        assert self.run("partition", "--points", str(ppath), "--rounds", "2") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "search" and "round 2" in err["message"]
+        assert F(err["best_imbalance"]) > F(5, 8)
+
     def test_validation_exit_code(self, tmp_path, capsys):
         assert self.run(
             "count", "--points", str(tmp_path / "missing.csv"),

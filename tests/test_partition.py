@@ -2,9 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inclab import partition
-from inclab.errors import GuardExceeded, ValidationError
+from inclab.errors import BudgetExhausted, GuardExceeded, ValidationError
 from inclab.geom import Line, point
 from inclab.partition import Regime
 
@@ -78,6 +79,25 @@ class TestBuild:
         b = partition.build_partition(pts, t=2, delta=F(1, 4), seed=7)
         assert partition.partition_to_jsonable(a) == partition.partition_to_jsonable(b)
 
+    def test_integer_build_pinned(self):
+        # a seeded integer-point build, pinned byte for byte
+        pts = random_points(24, seed=9)
+        part = partition.build_partition(pts, t=2, delta=F(1, 4), seed=5)
+        assert partition.partition_to_jsonable(part) == {
+            "rounds": 2, "delta": "1/4", "seed": 5,
+            "factors": [
+                {"0,0,0": "-4591/128", "0,0,1": "-75/64", "0,1,0": "-73/64", "1,0,0": "43/64"},
+                {"0,0,0": "-2475/128", "0,0,1": "-147/64", "0,1,0": "-9/64", "1,0,0": "-9/4"},
+            ],
+        }
+
+    def test_exhausted_reports_best_rejected_score(self):
+        # round 2 has two cells of 3 points: an open side holds 2 of 3 at best
+        with pytest.raises(BudgetExhausted) as info:
+            partition.build_partition(random_points(6, seed=10), t=2, delta=F(1, 4), seed=0)
+        assert info.value.best_imbalance > F(5, 8)
+        assert info.value.best_imbalance == F(2, 3)
+
     def test_rounds_guard(self):
         with pytest.raises(GuardExceeded):
             partition.build_partition(random_points(64, 4), t=5, delta=F(1, 4), seed=0)
@@ -85,6 +105,36 @@ class TestBuild:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             partition.build_partition(random_points(4, 5), t=3, delta=F(1, 4), seed=0)
+
+
+class TestRationalPoints:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        t=st.sampled_from([2, 3]),
+        size=st.sampled_from([16, 20, 24, 32]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_round_bisects_its_cells(self, t, size, seed):
+        rng = random.Random(seed)
+        pts = set()
+        while len(pts) < size:
+            pts.add(point(*(F(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(3))))
+        pts = sorted(pts, key=lambda p: (p.x, p.y, p.z))
+        delta = F(1, 4)
+        part = partition.build_partition(pts, t=t, delta=delta, seed=seed)
+        # rebuild each round's cells from the emitted factors, exactly
+        cells = [pts]
+        for factor in part.round_factors:
+            children = []
+            for cell in cells:
+                neg = [p for p in cell if factor.evaluate(p) < 0]
+                pos = [p for p in cell if factor.evaluate(p) > 0]
+                for side in (neg, pos):
+                    assert len(side) <= (1 + delta) / 2 * len(cell)
+                children.extend(side for side in (neg, pos) if side)
+            cells = children
+        # no scanned threshold sits on a point's value, so nothing is in Z
+        assert sum(map(len, cells)) == size
 
 
 class TestClassify:
