@@ -1,5 +1,13 @@
 """Incidence counting, complete-bipartite decomposition, rich points,
-K_{r,s} detection, and generic projection to the plane."""
+K_{r,s} detection, and generic projection to the plane.
+
+Counting, decomposition and the projection check find point-object
+incidences through one integer core, `_incidence_edges`: coordinates are
+cleared of denominators once, and planes, spheres, lines and circles are
+bucketed by a shape key, so each point is looked up in the buckets rather
+than tested against every object.  Only implicit surfaces and curves are
+tested per pair, with the exact `Fraction` predicates.
+"""
 
 from __future__ import annotations
 
@@ -43,12 +51,6 @@ from .geom import (
 )
 
 
-def _incident(p: Point3, obj) -> bool:
-    if isinstance(obj, (Plane, Sphere, geom.Implicit)):
-        return point_on_surface(p, obj)
-    return point_on_curve(p, obj)
-
-
 @dataclass(frozen=True)
 class IncidenceGraph:
     point_ids: tuple[int, ...]
@@ -56,13 +58,95 @@ class IncidenceGraph:
     edges: frozenset[tuple[int, int]]
 
 
+def _primitive_ints(v) -> tuple[int, ...]:
+    return tuple(int(c) for c in primitive_vector(v))
+
+
+def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[int, int]]:
+    """Every incident (point id, object id) pair; ids are indices.
+
+    Points and the objects' anchor points are cleared of denominators once
+    (`geom.integer_coords`), so planes, spheres, lines and circles are
+    matched in Python ints.  Each of them is stored in a bucket under a
+    shape key, and a point looks up the value it takes under each key
+    instead of being tested against every object:
+
+    - sphere or circle: integer centre C; |P - C|^2 against den^2 r^2,
+      then n . (P - C) = 0 for the circles found;
+    - plane: primitive normal n; -(n . P) against den d / s, where the
+      plane is s (n . x) + d = 0;
+    - line: primitive direction v; P x v against the moment O x v.
+
+    An object whose scaled target is not an integer holds no point and is
+    not stored.  Implicit surfaces and curves have no shape key and are
+    tested per pair with the exact predicates.
+    """
+    anchors = {
+        oid: obj.origin if isinstance(obj, Line) else obj.center
+        for oid, obj in enumerate(objects) if isinstance(obj, (Sphere, Line, Circle))
+    }
+    coords, den = geom.integer_coords([*points, *anchors.values()])
+    anchor_of = dict(zip(anchors, coords[len(points):]))
+    # centre -> den^2 r^2 -> [(circle normal, or None for a sphere, oid)]
+    centred: dict[tuple, dict[int, list[tuple[Optional[tuple], int]]]] = {}
+    planes: dict[tuple, dict[int, list[int]]] = {}
+    lines: dict[tuple, dict[tuple, list[int]]] = {}
+    per_pair = []
+    for oid, obj in enumerate(objects):
+        if isinstance(obj, (Sphere, Circle)):
+            target = den * den * obj.radius2
+            if target.denominator != 1:
+                continue
+            normal = _primitive_ints(obj.normal) if isinstance(obj, Circle) else None
+            centred.setdefault(anchor_of[oid], {}).setdefault(target.numerator, []).append(
+                (normal, oid)
+            )
+        elif isinstance(obj, Plane):
+            normal = _primitive_ints(obj.normal())
+            scale = next(c for c in obj.normal() if c != 0) / next(c for c in normal if c != 0)
+            target = den * obj.d / scale
+            if target.denominator != 1:
+                continue
+            planes.setdefault(normal, {}).setdefault(target.numerator, []).append(oid)
+        elif isinstance(obj, Line):
+            vx, vy, vz = direction = _primitive_ints(obj.direction)
+            ox, oy, oz = anchor_of[oid]
+            moment = (oy * vz - oz * vy, oz * vx - ox * vz, ox * vy - oy * vx)
+            lines.setdefault(direction, {}).setdefault(moment, []).append(oid)
+        else:
+            per_pair.append((oid, obj))
+
+    edges = []
+    for pid, (x, y, z) in enumerate(coords[: len(points)]):
+        for (cx, cy, cz), by_target in centred.items():
+            dx, dy, dz = x - cx, y - cy, z - cz
+            hit = by_target.get(dx * dx + dy * dy + dz * dz)
+            if hit:
+                edges.extend(
+                    (pid, oid) for n, oid in hit
+                    if n is None or n[0] * dx + n[1] * dy + n[2] * dz == 0
+                )
+        for (a, b, c), by_target in planes.items():
+            hit = by_target.get(-(a * x + b * y + c * z))
+            if hit:
+                edges.extend((pid, oid) for oid in hit)
+        for (vx, vy, vz), by_moment in lines.items():
+            hit = by_moment.get((y * vz - z * vy, z * vx - x * vz, x * vy - y * vx))
+            if hit:
+                edges.extend((pid, oid) for oid in hit)
+        if per_pair:
+            p = points[pid]
+            edges.extend(
+                (pid, oid) for oid, obj in per_pair
+                if (point_on_surface(p, obj) if isinstance(obj, geom.Implicit)
+                    else point_on_curve(p, obj))
+            )
+    return edges
+
+
 def count_incidences(points: Sequence[Point3], objects: Sequence) -> tuple[int, IncidenceGraph]:
     """Exact incidence count plus the full incidence graph (ids are indices)."""
-    edges = set()
-    for pid, p in enumerate(points):
-        for oid, obj in enumerate(objects):
-            if _incident(p, obj):
-                edges.add((pid, oid))
+    edges = _incidence_edges(points, objects)
     graph = IncidenceGraph(
         tuple(range(len(points))), tuple(range(len(objects))), frozenset(edges)
     )
@@ -101,30 +185,23 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
             gamma = canonicalize(result.circle if isinstance(result, CircleCurve) else result.line)
             curve_surfaces.setdefault(gamma, set()).update((i, j))
 
+    curves = sorted(curve_surfaces, key=repr)
+    points_on_curve: dict[Curve, set[int]] = {gamma: set() for gamma in curves}
+    for pid, cid in _incidence_edges(points, curves):
+        points_on_curve[curves[cid]].add(pid)
     components = []
-    point_cover: dict[tuple[int, int], bool] = {}
     curves_of_surface: dict[int, list[Curve]] = {}
-    points_on_curve: dict[Curve, set[int]] = {}
-    for gamma in sorted(curve_surfaces, key=repr):
+    for gamma in curves:
         s_ids = tuple(sorted(curve_surfaces[gamma]))
-        p_ids = tuple(pid for pid, p in enumerate(points) if point_on_curve(p, gamma))
-        points_on_curve[gamma] = set(p_ids)
         for sid in s_ids:
             curves_of_surface.setdefault(sid, []).append(gamma)
-        components.append((gamma, p_ids, s_ids))
+        components.append((gamma, tuple(sorted(points_on_curve[gamma])), s_ids))
 
-    residual = set()
-    for pid, p in enumerate(points):
-        for sid, surface in enumerate(surfaces):
-            if not _incident(p, surface):
-                continue
-            covered = any(
-                pid in points_on_curve[gamma]
-                for gamma in curves_of_surface.get(sid, ())
-            )
-            if not covered:
-                residual.add((pid, sid))
-    return BipartiteDecomposition(components, frozenset(residual))
+    residual = frozenset(
+        (pid, sid) for pid, sid in _incidence_edges(points, surfaces)
+        if not any(pid in points_on_curve[gamma] for gamma in curves_of_surface.get(sid, ()))
+    )
+    return BipartiteDecomposition(components, residual)
 
 
 def j_value(d: BipartiteDecomposition) -> tuple[int, int, int, int]:
@@ -267,6 +344,7 @@ def project_generic(points: Sequence[Point3], curves: Sequence[Curve], seed: int
     for c in curves:
         if isinstance(c, geom.ImplicitPair):
             raise UnsupportedObject("project_generic supports lines and circles only")
+    incident = set(_incidence_edges(points, curves))
     for attempt in range(16):
         rng = random.Random(f"{seed}:{attempt}")
         m = [[Fraction(rng.randint(-19, 19)) for _ in range(3)] for _ in range(3)]
@@ -292,7 +370,7 @@ def project_generic(points: Sequence[Point3], curves: Sequence[Curve], seed: int
         if not ok or len(set(curves2)) != len(curves2):
             continue
         preserved = all(
-            planar_incident(points2[pid], curves2[cid]) == point_on_curve(points[pid], curves[cid])
+            planar_incident(points2[pid], curves2[cid]) == ((pid, cid) in incident)
             for pid in range(len(points))
             for cid in range(len(curves))
         )

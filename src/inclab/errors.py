@@ -48,9 +48,11 @@ class SearchFailure(InclabError):
 class BudgetExhausted(SearchFailure):
     """Candidate budget exhausted without an accepted bisection polynomial.
 
-    best_imbalance is the smallest score (largest open side of any cell, as
-    a fraction of that cell) over the rejected candidates, when any was
-    scored.
+    best_imbalance is a score: the largest open side of any cell, as a
+    fraction of that cell.  When the round's cells admit no feasible
+    threshold at all (a cell of 1 or 3 points at delta = 1/4), it is the
+    least score any threshold can reach; otherwise it is the smallest score
+    over the rejected candidates, when any was scored.
     """
 
     def __init__(self, message, best_imbalance=None):

@@ -143,7 +143,9 @@ def build_partition(
 
     Every accepted round factor is verified by exact counting: each open
     side of its zero set holds at most a (1+delta)/2 fraction of every
-    current cell.  Raises BudgetExhausted when no candidate passes.
+    current cell.  Raises BudgetExhausted when no candidate passes, and
+    before the first candidate of a round whose cells no threshold can
+    split that evenly.
     """
     if not 1 <= t <= 4:
         raise GuardExceeded("rounds t must be between 1 and 4")
@@ -159,6 +161,15 @@ def build_partition(
     factors: list[TriPoly] = []
 
     for round_index in range(1, t + 1):
+        # no threshold sits on a value, so a cell's larger open side holds
+        # at least half of it, rounded up: no score can be below target
+        target = max(Fraction(-(-len(cell) // 2), len(cell)) for cell in cells)
+        if target > limit:
+            raise BudgetExhausted(
+                f"round {round_index}: no (1+{delta})-bisection exists: an open side "
+                f"holds at least {target} of some cell",
+                best_imbalance=target,
+            )
         d = round_degree(round_index)
         monomials = _monomials_up_to(d)
         # den**d * x**i y**j z**k from integer coordinates: every lift is
@@ -171,8 +182,6 @@ def build_partition(
         ]
         accepted = None
         best_imbalance = None
-        # stop early once no cell's larger open side exceeds half (rounded up)
-        target = max(Fraction(-(-len(cell) // 2), len(cell)) for cell in cells)
         explore = min(budget, 400)
         w = None
         for attempt in range(budget):

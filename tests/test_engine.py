@@ -2,10 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from inclab import construct, engine, geom
 from inclab.errors import GuardExceeded, UnsupportedObject, ValidationError
-from inclab.geom import Circle, Line, Plane, Sphere, point
+from inclab.geom import Circle, Line, Plane, Sphere, TriPoly, point
 
 
 def three_spheres_one_circle():
@@ -30,6 +32,111 @@ class TestCounting:
             inst = construct.gen_elekes_grid(kk)
             count, _ = engine.count_incidences(inst.points, inst.curves)
             assert count == kk**4
+
+    def test_empty(self):
+        assert engine.count_incidences([], [Sphere(point(0, 0, 0), F(1))])[0] == 0
+        assert engine.count_incidences([point(0, 0, 0)], [])[0] == 0
+
+    def test_sphere_centre_denominator_no_point_has(self):
+        sph = Sphere(point(F(1, 2), 0, 0), F(1, 4))
+        count, graph = engine.count_incidences([point(0, 0, 0), point(1, 1, 0)], [sph])
+        assert count == 1 and graph.edges == {(0, 0)}
+
+    def test_non_integer_scaled_radius_holds_no_point(self):
+        pts = [point(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-2, 3)]
+        assert engine.count_incidences(pts, [Sphere(point(0, 0, 0), F(1, 3))])[0] == 0
+
+    def test_rational_plane_matched_through_primitive_form(self):
+        # x/2 + y/3 - 1 = 0 is 3x + 2y = 6
+        plane = Plane(F(1, 2), F(1, 3), F(0), F(-1))
+        pts = [point(2, 0, 5), point(0, 3, -1), point(F(2, 3), 2, 0), point(1, 1, 0)]
+        _, graph = engine.count_incidences(pts, [plane])
+        assert graph.edges == {(0, 0), (1, 0), (2, 0)}
+
+    def test_duplicate_object_counts_twice(self):
+        pts = [point(1, 0, 0), point(0, 1, 0)]
+        sph = Sphere(point(0, 0, 0), F(1))
+        line = Line(point(0, 0, 0), (F(1), F(0), F(0)))
+        count, graph = engine.count_incidences(pts, [sph, line, sph, line])
+        assert count == 6
+        assert graph.edges == {(0, 0), (1, 0), (0, 1), (0, 2), (1, 2), (0, 3)}
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+NONZERO = RATIONALS.filter(lambda v: v != 0)
+VECTORS = st.tuples(RATIONALS, RATIONALS, RATIONALS).filter(lambda v: any(v))
+POINTS = st.builds(geom.Point3, RATIONALS, RATIONALS, RATIONALS)
+
+
+@st.composite
+def incidence_instances(draw):
+    """Random rational points and objects of all six kinds, most of them
+    forced through chosen points, some tangent there, some duplicated."""
+    pts = draw(st.lists(POINTS, min_size=1, max_size=7, unique=True))
+    objs = []
+    for kind in draw(st.lists(st.sampled_from(
+        ["sphere", "plane", "line", "circle", "implicit", "pair", "tangent", "duplicate"]
+    ), max_size=9)):
+        p, q = (draw(st.sampled_from(pts)).as_tuple() for _ in range(2))
+        centre = draw(POINTS)
+        if q != p:
+            # a centre equidistant from p and q puts q on the sphere around
+            # it through p, and mostly off the plane of a circle through p
+            u = geom.cross(geom.vsub(q, p), draw(VECTORS))
+            centre = geom.Point3(*geom.vadd(geom.vscale(F(1, 2), geom.vadd(p, q)),
+                                            geom.vscale(draw(RATIONALS), u)))
+        offset = geom.vsub(p, centre.as_tuple())
+        if kind == "sphere":
+            r2 = geom.norm2(offset) if any(offset) else draw(NONZERO) ** 2
+            objs.append(Sphere(centre, r2))
+        elif kind == "plane":
+            n = draw(VECTORS)
+            objs.append(Plane(*n, -geom.dot(n, p) + draw(st.sampled_from([0, 0, F(1, 2)]))))
+        elif kind == "line":
+            direction = geom.vsub(q, p) if q != p else draw(VECTORS)
+            objs.append(Line(geom.Point3(*q), geom.vscale(draw(NONZERO), direction)))
+        elif kind == "circle":
+            n = geom.cross(offset, draw(VECTORS))
+            if not any(n):
+                n, offset = draw(VECTORS), (1, 0, 0)
+            objs.append(Circle(centre, n, geom.norm2(offset)))
+        elif kind == "implicit":
+            a, b, c = draw(VECTORS)
+            poly = TriPoly({(2, 0, 0): a, (0, 1, 1): b, (0, 0, 1): c})
+            objs.append(geom.Implicit(poly - TriPoly.constant(poly.evaluate(geom.Point3(*p)))))
+        elif kind == "pair":
+            f = TriPoly.linear(1, 0, draw(RATIONALS), 0)
+            g = TriPoly({(0, 1, 0): 1, (0, 0, 2): draw(RATIONALS)})
+            at = geom.Point3(*p)
+            objs.append(geom.ImplicitPair(f - TriPoly.constant(f.evaluate(at)),
+                                          g - TriPoly.constant(g.evaluate(at))))
+        elif kind == "tangent" and any(offset):
+            # a sphere through p, and a sphere and a plane touching it at p
+            other = geom.vadd(p, geom.vscale(draw(NONZERO), offset))
+            objs.append(Sphere(centre, geom.norm2(offset)))
+            objs.append(Sphere(geom.Point3(*other), geom.norm2(geom.vsub(p, other))))
+            objs.append(Plane(*offset, -geom.dot(offset, p)))
+        elif kind == "duplicate" and objs:
+            objs.append(draw(st.sampled_from(objs)))
+    return pts, objs
+
+
+class TestDifferential:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(incidence_instances())
+    def test_matches_all_pairs_oracle(self, instance):
+        pts, objs = instance
+        edges = engine._incidence_edges(pts, objs)
+        assert len(edges) == len(set(edges))
+        assert set(edges) == oracle.incidence_edges(pts, objs)
+        count, graph = engine.count_incidences(pts, objs)
+        assert count == len(graph.edges) == len(edges)
+        surfaces = list({
+            geom.canonicalize(s): s for s in objs if isinstance(s, (Plane, Sphere))
+        }.values())
+        got, want = engine.decompose(pts, surfaces), oracle.decompose(pts, surfaces)
+        assert got.components == want.components
+        assert got.residual_edges == want.residual_edges
 
 
 class TestDecompose:

@@ -91,10 +91,24 @@ class TestBuild:
             ],
         }
 
-    def test_exhausted_reports_best_rejected_score(self):
-        # round 2 has two cells of 3 points: an open side holds 2 of 3 at best
+    def test_exhausted_reports_best_rejected_score(self, monkeypatch):
+        # round 2 has two cells of 3 points: an open side holds 2 of 3 at best,
+        # so the round stops before scoring a single candidate
+        calls = []
+        scan = partition._best_threshold
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(partition, "_best_threshold", counted)
+        budget = 10_000
         with pytest.raises(BudgetExhausted) as info:
-            partition.build_partition(random_points(6, seed=10), t=2, delta=F(1, 4), seed=0)
+            partition.build_partition(
+                random_points(6, seed=10), t=2, delta=F(1, 4), seed=0, budget=budget
+            )
+        assert 0 < len(calls) < budget
+        assert "round 2" in str(info.value)
         assert info.value.best_imbalance > F(5, 8)
         assert info.value.best_imbalance == F(2, 3)
 
