@@ -242,5 +242,4 @@ def circle_axis_multiplicity(gamma: Circle, P2: Sequence[Point3]) -> int:
     """Number of P2 points on the axis of the circle (the line through its
     center along its normal); equals the number of family spheres through
     the circle up to the radius-pairing factor."""
-    axis = gamma.axis()
-    return sum(1 for p in P2 if geom.point_on_curve(p, axis))
+    return len(engine._incidence_edges(P2, [gamma.axis()]))

@@ -7,6 +7,12 @@ cleared of denominators once, and planes, spheres, lines and circles are
 bucketed by a shape key, so each point is looked up in the buckets rather
 than tested against every object.  Only implicit surfaces and curves are
 tested per pair, with the exact `Fraction` predicates.
+
+`coplanar_cospherical_max` and `common_sphere` share one integer kernel,
+`_sphere_key`: circles are put in one frame of primitive integer normals,
+denominator-cleared centres and scaled squared radii (`_circle_frame`), and
+every circle pair is tested there in Python ints; `Plane` and `Sphere`
+witnesses are built only for the answer.
 """
 
 from __future__ import annotations
@@ -37,17 +43,11 @@ from .geom import (
     Sphere,
     Surface,
     canonicalize,
-    cross,
     dot,
-    is_zero_vec,
-    norm2,
     point_on_curve,
     point_on_surface,
     primitive_vector,
     surface_pair_intersection,
-    vadd,
-    vscale,
-    vsub,
 )
 
 
@@ -172,7 +172,7 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
     """
     canon = []
     for s in surfaces:
-        if isinstance(s, geom.Implicit):
+        if not isinstance(s, (Plane, Sphere)):
             raise UnsupportedObject("decompose supports planes and spheres only")
         canon.append(canonicalize(s))
     if len(set(canon)) != len(canon):
@@ -383,73 +383,116 @@ def project_generic(points: Sequence[Point3], curves: Sequence[Curve], seed: int
 # ---------------------------------------------------------------------------
 # coplanar / cospherical maximum for circle families
 
+def _circle_frame(circles: Sequence[Circle]) -> tuple[list[tuple], int, int]:
+    """The circles in one integer frame: a (n, C, W) triple per circle, the
+    centres' common denominator den, and the scale L.
+
+    n is the primitive integer normal, C the centre times den, L the lcm of
+    the denominators of den^2 r^2, and W = L den^2 r^2.
+    """
+    centres, den = geom.integer_coords(c.center for c in circles)
+    scaled = [den * den * c.radius2 for c in circles]
+    scale = math.lcm(*(r.denominator for r in scaled))
+    frame = [
+        (_primitive_ints(c.normal), centre, r.numerator * (scale // r.denominator))
+        for c, centre, r in zip(circles, centres, scaled)
+    ]
+    return frame, den, scale
+
+
+def _sphere_key(ci: tuple, cj: tuple, scale: int) -> Optional[tuple[int, ...]]:
+    """The sphere containing two framed circles, as an integer key, or None.
+
+    With D = C_j - C_i, the sphere's centre is C_i + (p/q) n_i in frame
+    units, with q > 0:
+    - axes not parallel (k = n_i x n_j != 0): they meet when D . k = 0, at
+      p = (D x n_j) . k, q = |k|^2; the circles then share the sphere iff
+      q^2 W_i + L |p n_i|^2 = q^2 W_j + L |p n_i - q D|^2;
+    - axes parallel: they must coincide (D x n_i = 0), so D = b n_i with b
+      an int (n_i is primitive).  b = 0 means concentric circles, the same
+      circle when W_i = W_j.  Otherwise p = W_j - W_i + L b^2 |n_i|^2 and
+      q = 2 L b |n_i|^2, negated together if q < 0.
+
+    The key is q O, q and L q^2 den^2 R^2 (O the centre, R^2 the radius
+    squared) divided by g, g and g^2, for g the gcd of q O and q, so equal
+    spheres have equal keys.
+    """
+    (n, c, w), (m, e, v) = ci, cj
+    nx, ny, nz = n
+    dx, dy, dz = e[0] - c[0], e[1] - c[1], e[2] - c[2]
+    nn = nx * nx + ny * ny + nz * nz
+    mx, my, mz = m
+    kx, ky, kz = ny * mz - nz * my, nz * mx - nx * mz, nx * my - ny * mx
+    if kx or ky or kz:
+        if dx * kx + dy * ky + dz * kz:
+            return None  # skew axes
+        p = (dy * mz - dz * my) * kx + (dz * mx - dx * mz) * ky + (dx * my - dy * mx) * kz
+        q = kx * kx + ky * ky + kz * kz
+        r2 = q * q * w + scale * p * p * nn
+        ux, uy, uz = p * nx - q * dx, p * ny - q * dy, p * nz - q * dz
+        if r2 != q * q * v + scale * (ux * ux + uy * uy + uz * uz):
+            return None
+    else:
+        if dy * nz - dz * ny or dz * nx - dx * nz or dx * ny - dy * nx:
+            return None  # parallel, distinct axes
+        if not (dx or dy or dz):
+            if w == v:
+                raise CoincidentObjects("circles coincide")
+            return None  # concentric coaxial with distinct radii
+        b = dx // nx if nx else dy // ny if ny else dz // nz
+        p = v - w + scale * b * b * nn
+        q = 2 * scale * b * nn
+        if q < 0:
+            p, q = -p, -q
+        r2 = q * q * w + scale * p * p * nn
+    ox, oy, oz = q * c[0] + p * nx, q * c[1] + p * ny, q * c[2] + p * nz
+    g = math.gcd(ox, oy, oz, q)
+    return ox // g, oy // g, oz // g, q // g, r2 // (g * g)
+
+
+def _key_sphere(key: tuple[int, ...], den: int, scale: int) -> Sphere:
+    ox, oy, oz, q, r2 = key
+    return Sphere(
+        Point3(Fraction(ox, q * den), Fraction(oy, q * den), Fraction(oz, q * den)),
+        Fraction(r2, scale * q * q * den * den),
+    )
+
+
 def common_sphere(c1: Circle, c2: Circle) -> Optional[Sphere]:
     """The unique sphere containing both circles, if one exists."""
-    k1, k2 = canonicalize(c1), canonicalize(c2)
-    if k1 == k2:
-        raise CoincidentObjects("circles coincide")
-    a1, a2 = c1.center.as_tuple(), c2.center.as_tuple()
-    n1, n2 = c1.normal, c2.normal
-    if is_zero_vec(cross(n1, n2)):
-        # parallel axes: a common sphere needs a common (coaxial) axis
-        if not is_zero_vec(cross(vsub(a2, a1), n1)) and a1 != a2:
-            return None
-        gap = vsub(a1, a2)
-        if is_zero_vec(gap):
-            return None  # concentric coaxial with distinct radii
-        beta = next(gap[i] / n1[i] for i in range(3) if n1[i] != 0)
-        lam = (c1.radius2 - c2.radius2 - beta * beta * norm2(n1)) / (2 * beta * norm2(n1))
-        center = Point3(*vadd(a1, vscale(lam, n1)))
-        return Sphere(center, c1.radius2 + lam * lam * norm2(n1))
-    candidates = geom._line_line(Line(c1.center, n1), Line(c2.center, n2))
-    for o in candidates:
-        r2 = c1.radius2 + geom.dist2(o, c1.center)
-        if c2.radius2 + geom.dist2(o, c2.center) == r2:
-            return Sphere(o, r2)
-    return None
+    (f1, f2), den, scale = _circle_frame([c1, c2])
+    key = _sphere_key(f1, f2, scale)
+    return None if key is None else _key_sphere(key, den, scale)
 
 
 def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[Surface]]:
-    """Max number of the circles lying in one plane or on one sphere."""
+    """Max number of the circles lying in one plane or on one sphere.
+
+    Ties go to a plane over a sphere, then to the plane or sphere named
+    first.  Every circle pair is tested in one integer frame
+    (`_circle_frame`, `_sphere_key`).
+    """
     if not circles:
         return 0, None
-    circles = [canonicalize(c) for c in circles]
-    best = 0
-    witness: Optional[Surface] = None
-    plane_groups: dict[Plane, int] = {}
-    for c in circles:
-        pl = canonicalize(c.plane())
-        plane_groups[pl] = plane_groups.get(pl, 0) + 1
-    for pl, count in plane_groups.items():
-        if count > best:
-            best, witness = count, pl
+    frame, den, scale = _circle_frame(circles)
+    # plane (n, n . C) -> [circle count, first circle on it]
+    planes: dict[tuple, list[int]] = {}
+    for i, (n, c, _) in enumerate(frame):
+        planes.setdefault((n, n[0] * c[0] + n[1] * c[1] + n[2] * c[2]), [0, i])[0] += 1
+    best, first = max(planes.values(), key=lambda group: group[0])
     # two distinct circles determine at most one common sphere, so a sphere
     # holding c circles is named by all C(c, 2) of its pairs
     sphere_hits: dict[tuple, int] = {}
-    sphere_by_key: dict[tuple, Sphere] = {}
-    # the skew-axes filter runs on integers: canonical normals are already
-    # primitive integers, centers are scaled by one common denominator
-    icenters, _ = geom.integer_coords(c.center for c in circles)
-    inormals = [tuple(int(x) for x in c.normal) for c in circles]
-    for i, j in itertools.combinations(range(len(circles)), 2):
-        n1, n2 = inormals[i], inormals[j]
-        kx = n1[1] * n2[2] - n1[2] * n2[1]
-        ky = n1[2] * n2[0] - n1[0] * n2[2]
-        kz = n1[0] * n2[1] - n1[1] * n2[0]
-        if kx or ky or kz:
-            a1, a2 = icenters[i], icenters[j]
-            if (a2[0] - a1[0]) * kx + (a2[1] - a1[1]) * ky + (a2[2] - a1[2]) * kz != 0:
-                continue  # skew axes: no common sphere
-        ci, cj = circles[i], circles[j]
-        sph = common_sphere(ci, cj)
-        if sph is None:
-            continue
-        key = (sph.center, sph.radius2)
-        sphere_hits[key] = sphere_hits.get(key, 0) + 1
-        sphere_by_key[key] = sph
+    for i, ci in enumerate(frame):
+        for cj in frame[i + 1:]:
+            key = _sphere_key(ci, cj, scale)
+            if key is not None:
+                sphere_hits[key] = sphere_hits.get(key, 0) + 1
+    sphere = None
     for key, hits in sphere_hits.items():
-        # hits == C(count, 2) exactly
         count = (1 + math.isqrt(1 + 8 * hits)) // 2
         if count > best:
-            best, witness = count, sphere_by_key[key]
-    return best, witness
+            best, sphere = count, key
+    if sphere is None:
+        return best, canonicalize(circles[first].plane())
+    return best, _key_sphere(sphere, den, scale)

@@ -156,6 +156,18 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["J"] == 5 and payload["residual_edges"] == []
 
+    @pytest.mark.parametrize("curve", [
+        Line(point(0, 0, 0), (F(1), F(0), F(0))),
+        Circle(point(0, 0, 0), (F(0), F(0), F(1)), F(1)),
+    ])
+    def test_decompose_rejects_curves(self, tmp_path, capsys, curve):
+        ppath, spath = tmp_path / "p.csv", tmp_path / "s.json"
+        ppath.write_text(io.points_to_csv([point(1, 0, 0)]))
+        spath.write_text(io.objects_to_json([curve, Sphere(point(0, 0, 0), F(1))]))
+        assert self.run("decompose", "--points", str(ppath), "--surfaces", str(spath)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "planes and spheres" in err["message"]
+
     def test_triangles(self, tmp_path, capsys):
         pts = [point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(1, 1, 0)]
         ppath = tmp_path / "sq.csv"

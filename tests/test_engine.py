@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from inclab import construct, engine, geom
-from inclab.errors import GuardExceeded, UnsupportedObject, ValidationError
+from inclab.errors import CoincidentObjects, GuardExceeded, UnsupportedObject, ValidationError
 from inclab.geom import Circle, Line, Plane, Sphere, TriPoly, point
 
 
@@ -253,6 +254,19 @@ class TestCommonSphere:
         c1 = Circle(point(0, 0, 0), (F(0), F(0), F(1)), F(1))
         c2 = Circle(point(100, 0, 0), (F(0), F(1), F(0)), F(1))
         assert engine.common_sphere(c1, c2) is None
+        # skew axes: the origin, the point of the first axis nearest the
+        # second, is at squared distance 2 from both circles
+        c1 = Circle(point(0, 0, 0), (F(0), F(0), F(1)), F(2))
+        c2 = Circle(point(1, 0, 0), (F(0), F(1), F(0)), F(1))
+        assert engine.common_sphere(c1, c2) is None
+        # the axes meet at the origin, but 1 + 1 != 2 + 1
+        c1 = Circle(point(0, 0, 1), (F(0), F(0), F(1)), F(1))
+        c2 = Circle(point(1, 0, 0), (F(1), F(0), F(0)), F(2))
+        assert engine.common_sphere(c1, c2) is None
+        # concentric coaxial circles with distinct radii
+        c1 = Circle(point(0, 0, 0), (F(0), F(0), F(1)), F(1))
+        c2 = Circle(point(0, 0, 0), (F(0), F(0), F(1)), F(2))
+        assert engine.common_sphere(c1, c2) is None
 
     def test_coplanar_cospherical_max(self):
         sph = Sphere(point(0, 0, 0), F(1))
@@ -271,3 +285,105 @@ class TestCommonSphere:
         best, witness = engine.coplanar_cospherical_max(circles)
         assert best == 4
         assert isinstance(witness, Plane)
+
+    def test_coaxial_on_opposite_sides_of_centre(self):
+        c1 = Circle(point(1, 1, 4), (F(0), F(0), F(1)), F(9))
+        c2 = Circle(point(1, 1, -3), (F(0), F(0), F(-1)), F(16))
+        assert engine.common_sphere(c1, c2) == Sphere(point(1, 1, 0), F(25))
+
+    def test_rescaled_normal_is_the_same_circle(self):
+        c1 = Circle(point(0, 0, 0), (F(0), F(0), F(1)), F(1))
+        c2 = Circle(point(0, 0, 0), (F(0), F(0), F(-2)), F(1))
+        with pytest.raises(CoincidentObjects):
+            engine.common_sphere(c1, c2)
+        with pytest.raises(CoincidentObjects):
+            engine.coplanar_cospherical_max([c1, c2])
+
+    def test_centre_and_radius_denominators_differ(self):
+        # sections of the sphere around (1/3, -1/3, 2/3) with R^2 = 22/7;
+        # den = 3 and den^2 r^2 = 135/7, 72/7, so the frame scale L is 7
+        c1 = Circle(point(F(1, 3), F(-1, 3), F(5, 3)), (F(0), F(0), F(1)), F(15, 7))
+        c2 = Circle(point(F(-2, 3), F(-4, 3), F(2, 3)), (F(1), F(1), F(0)), F(8, 7))
+        assert engine._circle_frame([c1, c2])[1:] == (3, 7)
+        assert engine.common_sphere(c1, c2) == Sphere(point(F(1, 3), F(-1, 3), F(2, 3)), F(22, 7))
+        # coaxial, with den^2 r^2 = 9/7 and 18: the frame holds W = 9 and 126
+        c3 = Circle(point(F(1, 3), 0, 0), (F(0), F(0), F(1)), F(1, 7))
+        c4 = Circle(point(F(1, 3), 0, 1), (F(0), F(0), F(1)), F(2))
+        assert [w for _, _, w in engine._circle_frame([c3, c4])[0]] == [9, 126]
+        assert engine.common_sphere(c3, c4) == Sphere(point(F(1, 3), 0, F(10, 7)), F(107, 49))
+
+    def test_plane_sphere_tie_keeps_plane(self):
+        z = (F(0), F(0), F(1))
+        circles = [
+            Circle(point(10, 0, 0), z, F(1)),
+            Circle(point(20, 0, 0), z, F(1)),
+            Circle(point(0, 0, 3), z, F(16)),
+            Circle(point(0, 0, 4), z, F(9)),
+        ]
+        assert engine.coplanar_cospherical_max(circles) == (2, Plane(F(0), F(0), F(1), F(0)))
+        circles.append(Circle(point(0, 0, -3), (F(0), F(0), F(-1)), F(16)))
+        assert engine.coplanar_cospherical_max(circles) == (3, Sphere(point(0, 0, 0), F(25)))
+
+
+RADII2 = st.fractions(min_value=F(1, 7), max_value=30, max_denominator=7)
+
+
+@st.composite
+def circle_families(draw):
+    """Circles cut from one or two shared spheres, with coaxial, coplanar
+    and concentric variants of circles already drawn; normals are rescaled
+    by 1, -2 or 1/3.  Only the "duplicate" kind repeats a circle."""
+    spheres = draw(st.lists(st.builds(Sphere, POINTS, RADII2), min_size=1, max_size=2))
+    kinds = draw(st.lists(st.sampled_from(
+        ["section"] * 4 + ["coaxial", "coplanar", "concentric", "free"]
+    ), min_size=2, max_size=8))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        kinds.append("duplicate")
+    circles = []
+    for kind in kinds:
+        scale = draw(st.sampled_from([1, -2, F(1, 3)]))
+        base = draw(st.sampled_from(circles)) if circles else None
+        if kind == "section":
+            sph, n = draw(st.sampled_from(spheres)), draw(VECTORS)
+            t = draw(st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=6))
+            r2 = sph.radius2 - t * t * geom.norm2(n)
+            if r2 <= 0:
+                continue
+            centre = geom.vadd(sph.center.as_tuple(), geom.vscale(t, n))
+            circle = Circle(geom.Point3(*centre), geom.vscale(scale, n), r2)
+        elif kind == "free" or base is None:
+            circle = Circle(draw(POINTS), draw(VECTORS), draw(RADII2))
+        elif kind == "coaxial":
+            centre = geom.vadd(base.center.as_tuple(), geom.vscale(draw(NONZERO), base.normal))
+            circle = Circle(geom.Point3(*centre), geom.vscale(scale, base.normal), draw(RADII2))
+        elif kind == "coplanar":
+            u = geom.cross(base.normal, draw(VECTORS))
+            centre = geom.vadd(base.center.as_tuple(), geom.vscale(draw(RATIONALS), u))
+            circle = Circle(geom.Point3(*centre), geom.vscale(scale, base.normal), draw(RADII2))
+        elif kind == "concentric":
+            circle = Circle(base.center, geom.vscale(scale, base.normal),
+                            base.radius2 + draw(RADII2))
+        else:
+            circle = Circle(base.center, geom.vscale(scale, base.normal), base.radius2)
+        if kind == "duplicate" or all(
+            geom.canonicalize(circle) != geom.canonicalize(c) for c in circles
+        ):
+            circles.append(circle)
+    return circles
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except CoincidentObjects:
+        return CoincidentObjects
+
+
+class TestCommonSphereDifferential:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(circle_families())
+    def test_matches_fraction_oracle(self, circles):
+        assert (_outcome(engine.coplanar_cospherical_max, circles)
+                == _outcome(oracle.coplanar_cospherical_max, circles))
+        for c1, c2 in itertools.permutations(circles, 2):
+            assert _outcome(engine.common_sphere, c1, c2) == _outcome(oracle.common_sphere, c1, c2)
