@@ -105,6 +105,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    if args.cross_lines < 0:
+        raise ValidationError("--cross-lines must be >= 0")
     pts = _load_points(args.points)
     part = partition.build_partition(
         pts, args.rounds, io.parse_rational(args.delta), args.seed

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from . import roots
 from .errors import CoincidentObjects, UnsupportedObject, ValidationError
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -247,21 +246,6 @@ class TriPoly:
             out = out + term
         return out
 
-    def restrict_to_line(self, origin: Point3, direction: Vec3) -> list[Fraction]:
-        """Univariate coefficients (ascending) of t -> f(origin + t*direction)."""
-        o = origin.as_tuple()
-        axes = [[o[a], direction[a]] for a in range(3)]
-        total = [Fraction(0)]
-        for (i, j, k), c in self.terms.items():
-            term = [c]
-            for axis, e in ((0, i), (1, j), (2, k)):
-                for _ in range(e):
-                    term = roots.umul(term, axes[axis])
-            total = _uadd(total, term)
-        while len(total) > 1 and total[-1] == 0:
-            total.pop()
-        return total
-
     def primitive(self) -> "TriPoly":
         """Canonical scalar multiple: integer coprime coefficients, leading
         coefficient (largest exponent triple) positive."""
@@ -278,14 +262,6 @@ class TriPoly:
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
         return self.primitive() == other.primitive()
-
-
-def _uadd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@ vectors of the round factors; points on any factor's zero set belong to the
 class Z.  The search is randomized over Veronese-lifted linear functionals
 with coefficients in 64ths snapped from Gaussian draws.  Coordinates are
 cleared of denominators once, so each candidate's lifted values are Python
-ints and one exact scan over doubled midpoint thresholds both ranks and
+ints and one exact sweep over doubled midpoint thresholds both ranks and
 certifies it; no point value ever sits on an accepted threshold.
+
+The censuses stay in the same integers.  `cell_census` evaluates each
+factor's integer numerator on the cleared coordinates; `crossing_census`
+clears the line's origin and direction, restricts every factor to the line
+as an integer polynomial and reads the cells it meets off dyadic sample
+points between the roots of their product (`roots`).  Each of these is a
+positive multiple of the rational value, so every sign is exact.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import random
@@ -112,28 +118,35 @@ def _snap(x: float, denom: int = 64) -> int:
 
 
 def _best_threshold(cell_values: list[list[int]], pad: int) -> tuple[Fraction, int]:
-    """Exact scan of doubled thresholds over sorted integer cell values.
+    """Exact scan of doubled thresholds over integer cell values, in any order.
 
     The candidates, in order, are 2(min - pad) and 2(max + pad), then a + b
     for each pair of neighbouring distinct values a < b, so no value sits on
     a threshold.  A threshold's score is the largest open side of any cell
     as a fraction of that cell; returns the first (score, theta) with the
-    smallest score.
+    smallest score.  One sweep over the values in order moves them below
+    the threshold one at a time, updating only their own cell's score.
     """
     unit = math.lcm(*map(len, cell_values))
-    merged = sorted({v for vals in cell_values for v in vals})
-    thetas = [2 * (merged[0] - pad), 2 * (merged[-1] + pad)]
-    thetas.extend(a + b for a, b in zip(merged, merged[1:]))
-    best = None
-    for theta in thetas:
-        half = theta >> 1  # v < theta/2 exactly when v <= half
-        worst = 0
-        for vals in cell_values:
-            below = bisect.bisect_right(vals, half)
-            worst = max(worst, max(below, len(vals) - below) * (unit // len(vals)))
-        if best is None or worst < best[0]:
-            best = (worst, theta)
-    return Fraction(best[0], unit), best[1]
+    # a cell of m values, b of them below the threshold, scores max(b, m - b)
+    # in units of 1/unit
+    tables = [[max(b, m - b) * (unit // m) for b in range(m + 1)] for m in map(len, cell_values)]
+    below = [0] * len(cell_values)
+    scores = [unit] * len(cell_values)
+    order = sorted([(v, c) for c, vals in enumerate(cell_values) for v in vals])
+    # with every value on one side each cell scores unit, so of the first
+    # two candidates 2(min - pad) stands until a strictly lower score
+    prev = order[0][0]
+    best, best_theta = unit, 2 * (prev - pad)
+    for v, c in order:
+        if v != prev:  # every value <= prev is below prev + v
+            worst = max(scores)
+            if worst < best:
+                best, best_theta = worst, prev + v
+            prev = v
+        b = below[c] = below[c] + 1
+        scores[c] = tables[c][b]
+    return Fraction(best, unit), best_theta
 
 
 def build_partition(
@@ -197,8 +210,7 @@ def build_partition(
             if all(c == 0 for c in w):
                 continue
             cell_values = [
-                sorted(sum(map(operator.mul, w, lifts[pid])) for pid in cell)
-                for cell in cells
+                [sum(map(operator.mul, w, lifts[pid])) for pid in cell] for cell in cells
             ]
             score, theta = _best_threshold(cell_values, pad)
             if score > limit:
@@ -232,48 +244,80 @@ def build_partition(
 # ---------------------------------------------------------------------------
 # classification and censuses
 
-def classify(p: Point3, part: PartitionPolynomial) -> CellLabel:
-    signs = []
+def _numerators(f: TriPoly) -> list[tuple[int, int, int, int]]:
+    """f's terms as (c, i, j, k) with integer c: f times the positive lcm of
+    its coefficients' denominators, which keeps every sign."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return [
+        (c.numerator * (den // c.denominator), i, j, k) for (i, j, k), c in f.terms.items()
+    ]
+
+
+def _labels(points: Sequence[Point3], part: PartitionPolynomial) -> list[CellLabel]:
+    """Each point's cell label, with every factor evaluated in integers."""
+    coords, den = integer_coords(points)
+    # den**d f(P / den) for integer coordinates P: the den**(d - |m|) lift
+    factors = []
     for f in part.round_factors:
-        v = f.evaluate(p)
-        if v == 0:
-            return Z_LABEL
-        signs.append("+" if v > 0 else "-")
-    return tuple(signs)
+        d = f.degree()
+        factors.append([(c * den ** (d - i - j - k), i, j, k) for c, i, j, k in _numerators(f)])
+    labels: list[CellLabel] = []
+    for x, y, z in coords:
+        signs = []
+        for terms in factors:
+            v = sum(c * x**i * y**j * z**k for c, i, j, k in terms)
+            if v == 0:
+                labels.append(Z_LABEL)
+                break
+            signs.append("+" if v > 0 else "-")
+        else:
+            labels.append(tuple(signs))
+    return labels
+
+
+def classify(p: Point3, part: PartitionPolynomial) -> CellLabel:
+    return _labels([p], part)[0]
 
 
 def cell_census(points: Sequence[Point3], part: PartitionPolynomial) -> dict[CellLabel, int]:
     census: dict[CellLabel, int] = {}
-    for p in points:
-        label = classify(p, part)
+    for label in _labels(points, part):
         census[label] = census.get(label, 0) + 1
     return census
 
 
+def _restrict(f: TriPoly, origin: tuple[int, int, int], direction: tuple[int, int, int],
+              den: int) -> list[int]:
+    """Integer coefficients (ascending) of t -> c den**d f((origin + t direction) / den),
+    a positive multiple of f along the line (c clears f's denominators, d is
+    f's degree)."""
+    d = f.degree()
+    total = [0] * (d + 1)
+    for c, i, j, k in _numerators(f):
+        term = [c * den ** (d - i - j - k)]
+        for o, v, e in zip(origin, direction, (i, j, k)):
+            for _ in range(e):
+                term = roots.umul(term, [o, v])
+        for e, t in enumerate(term):
+            total[e] += t
+    return roots.utrim(total)
+
+
 def crossing_census(line: Line, part: PartitionPolynomial) -> int:
     """Distinct open-cell sign vectors met along a line, by exact univariate
-    root isolation of each factor restricted to the line."""
-    restricted = [
-        f.restrict_to_line(line.origin, line.direction) for f in part.round_factors
-    ]
-    if any(roots.udegree(r) < 0 for r in restricted):
+    root isolation of each factor restricted to the line, in integers."""
+    (origin, direction), den = integer_coords([line.origin, Point3(*line.direction)])
+    restricted = [_restrict(f, origin, direction, den) for f in part.round_factors]
+    if not all(restricted):
         return 0  # the line lies inside some factor's zero set: always Z
-    product = [Fraction(1)]
+    product = [1]
     for r in restricted:
         product = roots.umul(product, r)
-    labels = set()
-    for sample in roots.sample_points_between_roots(product):
-        signs = []
-        on_zero = False
-        for r in restricted:
-            v = roots.ueval(r, sample)
-            if v == 0:
-                on_zero = True
-                break
-            signs.append("+" if v > 0 else "-")
-        if not on_zero:
-            labels.add(tuple(signs))
-    return len(labels)
+    # no sample is a root of the product, so every sign is +1 or -1
+    return len({
+        tuple(roots.sign_at(r, x) for r in restricted)
+        for x in roots.sample_points_between_roots(product)
+    })
 
 
 # ---------------------------------------------------------------------------

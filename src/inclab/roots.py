@@ -1,17 +1,22 @@
-"""Exact real-root isolation for univariate rational polynomials.
+"""Exact real-root isolation for univariate polynomials, in integers.
 
-Polynomials are lists of Fractions in ascending degree order.  Isolation uses
-Sturm sequences with sign-change bisection on rational intervals; every
-returned interval has rational endpoints that are not roots (except for the
-degenerate [r, r] intervals marking exact rational roots) and contains
-exactly one real root.
+Polynomials are coefficient lists in ascending degree order.  The public
+entry points take rational lists (ints or Fractions); inside, every
+polynomial is a primitive integer polynomial, because multiplying by a
+positive constant keeps every sign.  Isolation uses one method: Sturm
+sequences from pseudo-remainders, scaled by |lc|^(delta+1) so that no sign
+flips and divided by their content at each step, with bisection from the
+Cauchy bound rounded up to a power of two.  Every point is dyadic, a / 2^k,
+and its sign comes from homogenized Horner in ints with shifts.  Returned
+intervals and sample points are dyadic `Fraction`s that are never roots.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-UPoly = list[Fraction]
+UPoly = list  # ascending coefficients: ints, or Fractions at the public API
 
 
 def utrim(p: UPoly) -> UPoly:
@@ -26,7 +31,8 @@ def udegree(p: UPoly) -> int:
     return len(q) - 1
 
 
-def ueval(p: UPoly, x: Fraction) -> Fraction:
+def ueval(p: UPoly, x) -> Fraction:
+    """p(x), exactly, for a rational x."""
     total = Fraction(0)
     for c in reversed(utrim(p)):
         total = total * x + c
@@ -41,169 +47,198 @@ def umul(a: UPoly, b: UPoly) -> UPoly:
     a, b = utrim(a), utrim(b)
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return out
 
 
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, which keeps every sign."""
+    p = utrim(p)
+    g = math.gcd(*p)
+    return p if g <= 1 else [c // g for c in p]
+
+
+def _integer(p: UPoly) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of the
+    rational polynomial p."""
+    p = utrim(p)
+    den = math.lcm(*(c.denominator for c in p))
+    return _primitive([c.numerator * (den // c.denominator) for c in p])
+
+
 def _udivmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
+    """Pseudo-division: q, r with |lc(b)|^(delta+1) * a = q*b + r, where
+    delta = deg a - deg b and deg r < deg b.  The multiplier is positive, so
+    r has the sign pattern of the remainder of a by b."""
     a, b = utrim(a), utrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = utrim(a)
-    while len(r) >= len(b):
-        coeff = r[-1] / b[-1]
-        shift = len(r) - len(b)
+    delta = len(a) - len(b)
+    if delta < 0:
+        return [], a
+    lc, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    q = [0] * (delta + 1)
+    r = list(a)
+    for shift in range(delta, -1, -1):
+        coeff = r[-1] * sign  # lc * r[-1] / b[-1]
+        if lc != 1:
+            r = [c * lc for c in r]
+            q = [c * lc for c in q]
         q[shift] += coeff
         for i, cb in enumerate(b):
             r[shift + i] -= coeff * cb
         r.pop()  # leading term cancels exactly
-        r = utrim(r)
-    return utrim(q), r
+    return utrim(q), utrim(r)
 
 
-def ugcd(a: UPoly, b: UPoly) -> UPoly:
-    a, b = utrim(a), utrim(b)
-    while b:
-        _, r = _udivmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    return [c / a[-1] for c in a]  # monic
-
-
-def squarefree(p: UPoly) -> UPoly:
-    p = utrim(p)
-    if udegree(p) < 1:
-        return p
-    g = ugcd(p, uderiv(p))
-    if udegree(g) < 1:
-        return p
-    q, _ = _udivmod(p, g)
-    return q
-
-
-def sturm_sequence(p: UPoly) -> list[UPoly]:
-    seq = [utrim(p), uderiv(p)]
-    while seq[-1]:
-        _, r = _udivmod(seq[-2], seq[-1])
+def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b and their negated pseudo-remainders, each divided by its content:
+    the signed remainder sequence up to positive factors."""
+    seq = [a, b] if b else [a]
+    while len(seq[-1]) > 1:
+        r = _udivmod(seq[-2], seq[-1])[1]
         if not r:
             break
-        seq.append([-c for c in r])
-    return [s for s in seq if s]
+        seq.append(_primitive([-c for c in r]))
+    return seq
 
 
-def _sign_at(p: UPoly, x) -> int:
-    # x may be +inf / -inf markers
-    p = utrim(p)
-    if not p:
-        return 0
-    if x == "+inf":
-        return 1 if p[-1] > 0 else -1
-    if x == "-inf":
-        lead = p[-1] if (len(p) - 1) % 2 == 0 else -p[-1]
-        return 1 if lead > 0 else -1
-    v = ueval(p, x)
+def ugcd(a: UPoly, b: UPoly) -> list[int]:
+    """Primitive greatest common divisor with a positive leading coefficient."""
+    g = _remainders(_integer(a), _integer(b))[-1]
+    return [-c for c in g] if g and g[-1] < 0 else g
+
+
+def squarefree(p: UPoly) -> list[int]:
+    """Primitive integer polynomial with the distinct roots of p, each once."""
+    p = _integer(p)
+    if len(p) < 2:
+        return p
+    g = ugcd(p, uderiv(p))
+    if len(g) < 2:
+        return p
+    return _primitive(_udivmod(p, g)[0])
+
+
+def sturm_sequence(p: list[int]) -> list[list[int]]:
+    """Sturm sequence of a primitive integer polynomial of degree >= 1."""
+    return _remainders(p, _primitive(uderiv(p)))
+
+
+def _squarefree_sturm(p: UPoly) -> tuple[list[int], list[list[int]]]:
+    """p's primitive squarefree part and its Sturm sequence, which is empty
+    when p is constant."""
+    p = _integer(p)
+    if len(p) < 2:
+        return p, []
+    seq = sturm_sequence(p)
+    if len(seq[-1]) > 1:  # gcd(p, p') is not constant: p has a repeated root
+        p = squarefree(p)
+        seq = sturm_sequence(p)
+    return p, seq
+
+
+def _hvalue(p: list[int], a: int, k: int) -> int:
+    """2^(k*deg p) * p(a / 2^k): homogenized Horner with shifts."""
+    it = reversed(p)
+    acc = next(it)
+    s = 0
+    for c in it:
+        s += k
+        acc = acc * a + (c << s)
+    return acc
+
+
+def _variations(seq: list[list[int]], a: int, k: int) -> int:
+    """Sign changes of the sequence at a / 2^k, zeros skipped."""
+    count = 0
+    last = 0
+    for q in seq:
+        v = _hvalue(q, a, k)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def sign_at(p: list[int], x: Fraction) -> int:
+    """Sign of the integer polynomial p at a dyadic x, such as a sample point."""
+    k = x.denominator.bit_length() - 1
+    if x.denominator != 1 << k:
+        raise ValueError("sign_at needs a dyadic point")
+    v = _hvalue(p, x.numerator, k) if p else 0
     return (v > 0) - (v < 0)
 
 
-def sign_variations(seq: list[UPoly], x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in seq) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _split(p: list[int], lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int]:
+    """A dyadic point strictly inside (lo, hi) that is not a root of p: the
+    midpoint, or when that is a root, the first non-root of
+    mid + 2^-(k+1), mid + 3 * 2^-(k+2), ..., all below mid + 2^-k <= hi."""
+    k = max(lo[1], hi[1]) + 1
+    m = (lo[0] << (k - 1 - lo[1])) + (hi[0] << (k - 1 - hi[1]))
+    while not _hvalue(p, m, k):
+        m, k = 2 * m + 1, k + 1
+    return m, k
 
 
-def count_roots(seq: list[UPoly], a, b) -> int:
-    """Number of distinct real roots in (a, b] (p must be squarefree)."""
-    return sign_variations(seq, a) - sign_variations(seq, b)
-
-
-def root_bound(p: UPoly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    p = utrim(p)
-    lead = abs(p[-1])
-    return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
-
-
-def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint, sorted isolating intervals for all real roots of p.
-
-    Each interval (lo, hi) contains exactly one root with p(lo) != 0 and
-    p(hi) != 0; exact rational roots appear as degenerate pairs (r, r).
-    """
-    p = squarefree(p)
-    if udegree(p) < 1:
-        return []
-    seq = sturm_sequence(p)
-    bound = root_bound(p)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def recurse(lo: Fraction, hi: Fraction, n: int):
-        if n == 0:
-            return
-        if n == 1:
+def _isolate(p: list[int], seq: list[list[int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Sorted isolating intervals of a squarefree primitive p with Sturm
+    sequence seq, as pairs of dyadic points (a, k) meaning a / 2^k.  Each
+    open interval holds exactly one root; neighbours may share an endpoint;
+    no endpoint is a root."""
+    # Cauchy: every root has |x| < 1 + max|c_i| / |lc| <= 2^e
+    e = (-(-max(map(abs, p[:-1])) // abs(p[-1]))).bit_length()
+    lo, hi = (-(1 << e), 0), (1 << e, 0)
+    out = []
+    stack = [(lo, hi, _variations(seq, *lo), _variations(seq, *hi))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
             out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if ueval(p, mid) == 0:
-            out.append((mid, mid))
-            # shrink side endpoints toward the exact root until the gaps
-            # [left_hi, mid) and (mid, right_lo] are root-free non-root points
-            eps = (mid - lo) / 2
-            left_hi = mid - eps
-            while ueval(p, left_hi) == 0 or count_roots(seq, left_hi, mid) != 1:
-                eps /= 2
-                left_hi = mid - eps
-            eps = (hi - mid) / 2
-            right_lo = mid + eps
-            while ueval(p, right_lo) == 0 or count_roots(seq, mid, right_lo) != 0:
-                eps /= 2
-                right_lo = mid + eps
-            recurse(lo, left_hi, count_roots(seq, lo, left_hi))
-            recurse(right_lo, hi, count_roots(seq, right_lo, hi))
-            return
-        recurse(lo, mid, count_roots(seq, lo, mid))
-        recurse(mid, hi, count_roots(seq, mid, hi))
-
-    total = count_roots(seq, -bound, bound)
-    recurse(-bound, bound, total)
-    out.sort()
-    # refine until intervals are strictly separated
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            lo1, hi1 = out[i]
-            lo2, hi2 = out[i + 1]
-            if hi1 >= lo2:
-                out[i] = _refine(p, seq, out[i])
-                out[i + 1] = _refine(p, seq, out[i + 1])
-                changed = True
+        elif vlo - vhi > 1:
+            mid = _split(p, lo, hi)
+            vmid = _variations(seq, *mid)
+            stack.append((mid, hi, vmid, vhi))
+            stack.append((lo, mid, vlo, vmid))
     return out
 
 
-def _refine(p: UPoly, seq, interval):
-    lo, hi = interval
-    if lo == hi:
-        return interval
-    mid = (lo + hi) / 2
-    if ueval(p, mid) == 0:
-        return (mid, mid)
-    if count_roots(seq, lo, mid) == 1:
-        return (lo, mid)
-    return (mid, hi)
+def _dyadic(point: tuple[int, int]) -> Fraction:
+    a, k = point
+    return Fraction(a, 1 << k)
+
+
+def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
+    """Sorted isolating intervals (lo, hi) for the distinct real roots of p.
+
+    Each open interval holds exactly one root, lo and hi are dyadic and
+    never roots, and the intervals are strictly separated: hi < next lo.
+    """
+    p, seq = _squarefree_sturm(p)
+    if not seq:
+        return []
+    out = _isolate(p, seq)
+
+    def refine(lo, hi):  # the half of (lo, hi) that keeps its root
+        mid = _split(p, lo, hi)
+        return (lo, mid) if _variations(seq, *lo) - _variations(seq, *mid) else (mid, hi)
+
+    for i in range(len(out) - 1):
+        while _dyadic(out[i][1]) >= _dyadic(out[i + 1][0]):
+            out[i], out[i + 1] = refine(*out[i]), refine(*out[i + 1])
+    return [(_dyadic(lo), _dyadic(hi)) for lo, hi in out]
 
 
 def sample_points_between_roots(p: UPoly) -> list[Fraction]:
-    """Rational sample points, one inside each maximal root-free open
-    interval of the real line determined by p's real roots."""
-    intervals = isolate_real_roots(p)
+    """Dyadic sample points, one inside each maximal root-free open interval
+    of the real line determined by p's real roots."""
+    p, seq = _squarefree_sturm(p)
+    intervals = _isolate(p, seq) if seq else []
     if not intervals:
         return [Fraction(0)]
-    samples = [intervals[0][0] - 1]
-    for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
-        samples.append((hi1 + lo2) / 2)
-    samples.append(intervals[-1][1] + 1)
-    return samples
+    # an isolating interval's ends are non-roots on either side of its root
+    return [_dyadic(intervals[0][0])] + [_dyadic(hi) for _, hi in intervals]

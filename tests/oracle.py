@@ -1,16 +1,22 @@
-"""Slow, obviously correct references for the incidence engine.
+"""Slow, obviously correct references for the incidence engine and the
+partitioner.
 
 These are the all-pairs `Fraction` loops that `engine.count_incidences` and
 `engine.decompose` used before the integer, shape-indexed core, and the
 `Fraction` `common_sphere` and `coplanar_cospherical_max` from before the
 integer common-sphere kernel; the differential tests in `test_engine.py`
-compare the engine against them.
+compare the engine against them.  The `Fraction` Sturm root isolation, the
+`Fraction` cell and crossing censuses and the per-cell bisect threshold scan
+are the references of `roots`, `partition.cell_census`,
+`partition.crossing_census` and `partition._best_threshold`.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from inclab import geom
@@ -26,6 +32,7 @@ from inclab.geom import (
     Point3,
     Sphere,
     Surface,
+    TriPoly,
     canonicalize,
     cross,
     is_zero_vec,
@@ -167,3 +174,289 @@ def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[S
         if count > best:
             best, witness = count, sphere_by_key[key]
     return best, witness
+
+
+# ---------------------------------------------------------------------------
+# Sturm root isolation in Fraction
+
+UPoly = list[Fraction]
+
+
+def utrim(p: UPoly) -> UPoly:
+    q = list(p)
+    while q and q[-1] == 0:
+        q.pop()
+    return q
+
+
+def udegree(p: UPoly) -> int:
+    q = utrim(p)
+    return len(q) - 1
+
+
+def ueval(p: UPoly, x: Fraction) -> Fraction:
+    total = Fraction(0)
+    for c in reversed(utrim(p)):
+        total = total * x + c
+    return total
+
+
+def uderiv(p: UPoly) -> UPoly:
+    return utrim([i * c for i, c in enumerate(p)][1:])
+
+
+def umul(a: UPoly, b: UPoly) -> UPoly:
+    a, b = utrim(a), utrim(b)
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _udivmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
+    a, b = utrim(a), utrim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = utrim(a)
+    while len(r) >= len(b):
+        coeff = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] += coeff
+        for i, cb in enumerate(b):
+            r[shift + i] -= coeff * cb
+        r.pop()  # leading term cancels exactly
+        r = utrim(r)
+    return utrim(q), r
+
+
+def ugcd(a: UPoly, b: UPoly) -> UPoly:
+    a, b = utrim(a), utrim(b)
+    while b:
+        _, r = _udivmod(a, b)
+        a, b = b, r
+    if not a:
+        return []
+    return [c / a[-1] for c in a]  # monic
+
+
+def squarefree(p: UPoly) -> UPoly:
+    p = utrim(p)
+    if udegree(p) < 1:
+        return p
+    g = ugcd(p, uderiv(p))
+    if udegree(g) < 1:
+        return p
+    q, _ = _udivmod(p, g)
+    return q
+
+
+def sturm_sequence(p: UPoly) -> list[UPoly]:
+    seq = [utrim(p), uderiv(p)]
+    while seq[-1]:
+        _, r = _udivmod(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return [s for s in seq if s]
+
+
+def _sign_at(p: UPoly, x) -> int:
+    # x may be +inf / -inf markers
+    p = utrim(p)
+    if not p:
+        return 0
+    if x == "+inf":
+        return 1 if p[-1] > 0 else -1
+    if x == "-inf":
+        lead = p[-1] if (len(p) - 1) % 2 == 0 else -p[-1]
+        return 1 if lead > 0 else -1
+    v = ueval(p, x)
+    return (v > 0) - (v < 0)
+
+
+def sign_variations(seq: list[UPoly], x) -> int:
+    signs = [s for s in (_sign_at(p, x) for p in seq) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_roots(seq: list[UPoly], a, b) -> int:
+    """Number of distinct real roots in (a, b] (p must be squarefree)."""
+    return sign_variations(seq, a) - sign_variations(seq, b)
+
+
+def root_bound(p: UPoly) -> Fraction:
+    """Cauchy bound: all real roots lie in (-B, B)."""
+    p = utrim(p)
+    lead = abs(p[-1])
+    return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
+
+
+def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint, sorted isolating intervals for all real roots of p.
+
+    Each interval (lo, hi) contains exactly one root with p(lo) != 0 and
+    p(hi) != 0; exact rational roots appear as degenerate pairs (r, r).
+    """
+    p = squarefree(p)
+    if udegree(p) < 1:
+        return []
+    seq = sturm_sequence(p)
+    bound = root_bound(p)
+    out: list[tuple[Fraction, Fraction]] = []
+
+    def recurse(lo: Fraction, hi: Fraction, n: int):
+        if n == 0:
+            return
+        if n == 1:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        if ueval(p, mid) == 0:
+            out.append((mid, mid))
+            # shrink side endpoints toward the exact root until the gaps
+            # [left_hi, mid) and (mid, right_lo] are root-free non-root points
+            eps = (mid - lo) / 2
+            left_hi = mid - eps
+            while ueval(p, left_hi) == 0 or count_roots(seq, left_hi, mid) != 1:
+                eps /= 2
+                left_hi = mid - eps
+            eps = (hi - mid) / 2
+            right_lo = mid + eps
+            while ueval(p, right_lo) == 0 or count_roots(seq, mid, right_lo) != 0:
+                eps /= 2
+                right_lo = mid + eps
+            recurse(lo, left_hi, count_roots(seq, lo, left_hi))
+            recurse(right_lo, hi, count_roots(seq, right_lo, hi))
+            return
+        recurse(lo, mid, count_roots(seq, lo, mid))
+        recurse(mid, hi, count_roots(seq, mid, hi))
+
+    total = count_roots(seq, -bound, bound)
+    recurse(-bound, bound, total)
+    out.sort()
+    # refine until intervals are strictly separated
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out) - 1):
+            lo1, hi1 = out[i]
+            lo2, hi2 = out[i + 1]
+            if hi1 >= lo2:
+                out[i] = _refine(p, seq, out[i])
+                out[i + 1] = _refine(p, seq, out[i + 1])
+                changed = True
+    return out
+
+
+def _refine(p: UPoly, seq, interval):
+    lo, hi = interval
+    if lo == hi:
+        return interval
+    mid = (lo + hi) / 2
+    if ueval(p, mid) == 0:
+        return (mid, mid)
+    if count_roots(seq, lo, mid) == 1:
+        return (lo, mid)
+    return (mid, hi)
+
+
+def sample_points_between_roots(p: UPoly) -> list[Fraction]:
+    """Rational sample points, one inside each maximal root-free open
+    interval of the real line determined by p's real roots."""
+    intervals = isolate_real_roots(p)
+    if not intervals:
+        return [Fraction(0)]
+    samples = [intervals[0][0] - 1]
+    for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
+        samples.append((hi1 + lo2) / 2)
+    samples.append(intervals[-1][1] + 1)
+    return samples
+
+
+# ---------------------------------------------------------------------------
+# partition censuses and threshold scan in Fraction
+
+def restrict_to_line(f: TriPoly, origin: Point3, direction) -> UPoly:
+    """Univariate coefficients (ascending) of t -> f(origin + t*direction)."""
+    o = origin.as_tuple()
+    axes = [[o[a], direction[a]] for a in range(3)]
+    total = [Fraction(0)]
+    for (i, j, k), c in f.terms.items():
+        term = [c]
+        for axis, e in ((0, i), (1, j), (2, k)):
+            for _ in range(e):
+                term = umul(term, axes[axis])
+        n = max(len(total), len(term))
+        total = [
+            (total[e] if e < len(total) else Fraction(0))
+            + (term[e] if e < len(term) else Fraction(0))
+            for e in range(n)
+        ]
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
+    return total
+
+
+def classify(p: Point3, factors: Sequence[TriPoly]):
+    signs = []
+    for f in factors:
+        v = f.evaluate(p)
+        if v == 0:
+            return "Z"
+        signs.append("+" if v > 0 else "-")
+    return tuple(signs)
+
+
+def cell_census(points: Sequence[Point3], factors: Sequence[TriPoly]) -> dict:
+    census: dict = {}
+    for p in points:
+        label = classify(p, factors)
+        census[label] = census.get(label, 0) + 1
+    return census
+
+
+def crossing_census(line: Line, factors: Sequence[TriPoly]) -> int:
+    """Distinct open-cell sign vectors met along a line, by exact univariate
+    root isolation of each factor restricted to the line."""
+    restricted = [restrict_to_line(f, line.origin, line.direction) for f in factors]
+    if any(udegree(r) < 0 for r in restricted):
+        return 0  # the line lies inside some factor's zero set: always Z
+    product = [Fraction(1)]
+    for r in restricted:
+        product = umul(product, r)
+    labels = set()
+    for sample in sample_points_between_roots(product):
+        signs = []
+        on_zero = False
+        for r in restricted:
+            v = ueval(r, sample)
+            if v == 0:
+                on_zero = True
+                break
+            signs.append("+" if v > 0 else "-")
+        if not on_zero:
+            labels.add(tuple(signs))
+    return len(labels)
+
+
+def best_threshold(cell_values: list[list[int]], pad: int) -> tuple[Fraction, int]:
+    """One bisect per cell per candidate threshold over sorted cell values."""
+    cell_values = [sorted(vals) for vals in cell_values]
+    unit = math.lcm(*map(len, cell_values))
+    merged = sorted({v for vals in cell_values for v in vals})
+    thetas = [2 * (merged[0] - pad), 2 * (merged[-1] + pad)]
+    thetas.extend(a + b for a, b in zip(merged, merged[1:]))
+    best = None
+    for theta in thetas:
+        half = theta >> 1  # v < theta/2 exactly when v <= half
+        worst = 0
+        for vals in cell_values:
+            below = bisect.bisect_right(vals, half)
+            worst = max(worst, max(below, len(vals) - below) * (unit // len(vals)))
+        if best is None or worst < best[0]:
+            best = (worst, theta)
+    return Fraction(best[0], unit), best[1]

@@ -142,6 +142,17 @@ class TestCli:
         assert sum(payload["census"].values()) == 16
         assert all(c <= 3 for c in payload["crossings"])  # degree 2 polynomial
 
+    def test_partition_negative_cross_lines(self, tmp_path, capsys):
+        ppath = tmp_path / "p.csv"
+        ppath.write_text(io.points_to_csv([point(i, i * i, 1) for i in range(8)]))
+        assert self.run(
+            "partition", "--points", str(ppath), "--rounds", "1", "--cross-lines", "-3"
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation" and "--cross-lines" in err["message"]
+
     def test_decompose(self, tmp_path, capsys):
         pts = [point(1, 0, 0), point(0, 1, 0)]
         spheres = [

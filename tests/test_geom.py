@@ -49,12 +49,6 @@ class TestTriPoly:
         assert g.evaluate(point(1, 5, 5)) == 0
         assert g.evaluate(point(3, 0, 0)) == 4
 
-    def test_restrict_to_line(self):
-        f = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(-25)})
-        coeffs = f.restrict_to_line(point(0, 0, 0), (F(3), F(4), F(0)))
-        # f(3t, 4t) = 25 t^2 - 25
-        assert coeffs == [F(-25), F(0), F(25)]
-
     def test_zero_poly_degree(self):
         assert TriPoly.zero().degree() == -1
 

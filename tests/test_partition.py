@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from inclab import partition
 from inclab.errors import BudgetExhausted, GuardExceeded, ValidationError
-from inclab.geom import Line, point
+from inclab.geom import Line, Point3, TriPoly, integer_coords, point
 from inclab.partition import Regime
 
 
@@ -176,12 +177,131 @@ class TestCrossings:
             assert crossings <= total_deg + 1
 
     def test_line_inside_zero_set(self):
-        from inclab.geom import TriPoly
-
         factor = TriPoly({(0, 0, 1): F(1)})  # z = 0
-        part = partition.PartitionPolynomial([factor], 1, F(1, 4), 0)
         line = Line(point(0, 0, 0), (F(1), F(0), F(0)))
-        assert partition.crossing_census(line, part) == 0
+        assert partition.crossing_census(line, _part(factor)) == 0
+        # inside the second factor's zero set, crossing the first's
+        assert partition.crossing_census(line, _part(TriPoly({(1, 0, 0): F(1)}), factor)) == 0
+
+    def test_integer_restriction(self):
+        f = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(-25)})
+        # f(3t, 4t) = 25 t^2 - 25
+        assert partition._restrict(f, (0, 0, 0), (3, 4, 0), 1) == [-25, 0, 25]
+        # f((1/2 + 3t/2, 2t, 0)) = 25/4 t^2 + 3/2 t - 99/4, times den^2 = 4
+        assert partition._restrict(f, (1, 0, 0), (3, 4, 0), 2) == [-99, 6, 25]
+        g = TriPoly({(1, 1, 0): F(1, 3), (0, 0, 1): F(-1, 2)})  # xy/3 - z/2
+        line = Line(point(F(1, 2), 0, 1), (F(1), F(1, 3), F(0)))
+        (origin, direction), den = integer_coords([line.origin, Point3(*line.direction)])
+        got = partition._restrict(g, origin, direction, den)
+        want = oracle.restrict_to_line(g, line.origin, line.direction)
+        ratio = F(got[-1]) / want[-1]
+        assert ratio > 0 and [F(c) for c in got] == [ratio * c for c in want]
+
+    def test_tangent_line_double_root(self):
+        # the line y = 1 from x = -3 touches the cylinder x^2 + y^2 = 1 at t = 3
+        cyl = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(-1)})
+        line = Line(point(-3, 1, 0), (F(1), F(0), F(0)))  # f = (t - 3)^2
+        assert partition.crossing_census(line, _part(cyl)) == 1
+        plane = TriPoly({(1, 0, 0): F(1), (0, 0, 0): F(-5)})  # x = 5 at t = 8
+        assert partition.crossing_census(line, _part(cyl, plane)) == 2
+
+    def test_factors_share_a_root(self):
+        # the plane x = 1 and the sphere |p|^2 = 2 meet at (1, 1, 0) on the line
+        plane = TriPoly({(1, 0, 0): F(1), (0, 0, 0): F(-1)})
+        sphere = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1), (0, 0, 0): F(-2)})
+        line = Line(point(-2, 1, 0), (F(1), F(0), F(0)))
+        # plane t - 3, sphere (t - 1)(t - 3): (-,+), (-,-), (+,+)
+        assert partition.crossing_census(line, _part(plane, sphere)) == 3
+
+    def test_rational_root_at_first_midpoint(self):
+        # x - 1/2 from (1/2, 0, 0) is t: its root 0 is the first bisection point
+        plane = TriPoly({(1, 0, 0): F(1), (0, 0, 0): F(-1, 2)})
+        line = Line(point(F(1, 2), 0, 0), (F(1), F(0), F(0)))
+        assert partition.crossing_census(line, _part(plane)) == 2
+        cone = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(-1)})  # x^2 - y^2: double at 0
+        assert partition.crossing_census(Line(point(0, 0, 0), (F(1), F(1, 2), F(0))),
+                                         _part(cone, plane)) == 2
+
+    def test_factor_without_real_root(self):
+        bowl = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(1)})
+        line = Line(point(3, -2, 7), (F(1), F(2), F(-1)))
+        assert partition.crossing_census(line, _part(bowl)) == 1
+        plane = TriPoly({(0, 0, 1): F(1)})  # z = 7 - t
+        assert partition.crossing_census(line, _part(bowl, plane)) == 2
+
+
+def _part(*factors):
+    return partition.PartitionPolynomial(list(factors), len(factors), F(1, 4), 0)
+
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+MONOMIALS = [(i, j, k) for i in range(3) for j in range(3) for k in range(3) if i + j + k <= 2]
+
+
+@st.composite
+def census_cases(draw):
+    """Random rational factors of degree <= 2, rational points and lines.
+    Some factors are shifted to vanish at a chosen point, and some lines
+    start there, so points in Z and roots shared by factors show up."""
+    pts = draw(st.lists(st.tuples(SMALL, SMALL, SMALL), min_size=1, max_size=8, unique=True))
+    pts = [point(*p) for p in pts]
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        chosen = draw(st.lists(st.sampled_from(MONOMIALS), min_size=1, max_size=5, unique=True))
+        f = TriPoly({m: draw(SMALL) for m in chosen})
+        if f.degree() < 1:
+            f = TriPoly({(1, 0, 0): F(1), (0, 0, 0): draw(SMALL)})
+        if draw(st.booleans()):
+            anchor = draw(st.sampled_from(pts))
+            f = f - TriPoly.constant(f.evaluate(anchor))
+        factors.append(f)
+    lines = []
+    for _ in range(3):
+        origin = draw(st.sampled_from(pts)) if draw(st.booleans()) else point(
+            draw(SMALL), draw(SMALL), draw(SMALL))
+        direction = (draw(SMALL), draw(SMALL), draw(SMALL))
+        if all(c == 0 for c in direction):
+            direction = (F(1), F(0), F(0))
+        lines.append(Line(origin, direction))
+    return pts, factors, lines
+
+
+class TestCensusDifferential:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(census_cases())
+    def test_matches_fraction_oracle(self, case):
+        pts, factors, lines = case
+        part = _part(*factors)
+        assert partition.cell_census(pts, part) == oracle.cell_census(pts, factors)
+        for p in pts:
+            assert partition.classify(p, part) == oracle.classify(p, factors)
+        for line in lines:
+            assert partition.crossing_census(line, part) == oracle.crossing_census(line, factors)
+
+
+CELL_VALUES = st.lists(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=6), min_size=1, max_size=5
+)
+
+
+class TestThresholdSweep:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(CELL_VALUES, st.integers(1, 3))
+    def test_matches_bisect_scan(self, cell_values, pad):
+        assert partition._best_threshold(cell_values, pad) == oracle.best_threshold(
+            cell_values, pad
+        )
+
+    @pytest.mark.parametrize("cell_values, want", [
+        ([[5, 5, 5], [5]], (F(1), 8)),             # all values equal: 2(min - pad)
+        ([[1], [2], [3]], (F(1), 0)),              # single-point cells always score 1
+        ([[1, 3], [2, 4]], (F(1, 2), 5)),          # 1+2 and 3+4 score 1
+        ([[0, 2], [1, 3], [0, 3]], (F(1, 2), 3)),  # equal values in different cells
+        ([[0, 1, 2]], (F(2, 3), 1)),               # 1 and 3 tie: the first wins
+    ])
+    def test_known_scans(self, cell_values, want):
+        assert partition._best_threshold(cell_values, 1) == want
+        assert oracle.best_threshold(cell_values, 1) == want
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from inclab import roots
 
 
@@ -23,6 +24,14 @@ class TestBasics:
         q, r = roots._udivmod(a, [F(1), F(1)])
         assert q == [F(-2), F(1)]
         assert r == []
+
+    def test_pseudo_division_keeps_sign(self):
+        # 2^2 (x^2 + 1) = (2x - 1)(2x + 1) + 5
+        assert roots._udivmod([1, 0, 1], [1, 2]) == ([-1, 2], [5])
+        # a negative leading coefficient still multiplies by |lc|^2 = 4
+        assert roots._udivmod([1, 0, 1], [1, -2]) == ([-1, -2], [5])
+        # and by |lc|^1 = 2, not lc: 2x = -(1 - 2x) + 1
+        assert roots._udivmod([0, 1], [1, -2]) == ([-1], [1])
 
     def test_gcd_monic(self):
         a = poly_from_roots([1, 2])
@@ -88,3 +97,68 @@ class TestIsolation:
         samples = roots.sample_points_between_roots(p)
         assert len(samples) == len(distinct) + 1
         assert all(roots.ueval(p, s) != 0 for s in samples)
+
+    def test_close_roots(self):
+        # sqrt(2) and its convergent 665857/470832, about 1.6e-12 apart
+        p = roots.umul([F(-2), F(0), F(1)], [F(-665857), F(470832)])
+        iv = roots.isolate_real_roots(p)
+        assert len(iv) == 3
+        (lo, hi), (lo2, hi2) = iv[1], iv[2]
+        assert lo * lo < 2 < hi * hi and lo2 < F(665857, 470832) < hi2
+        assert all(hi1 < lo2 for (_, hi1), (lo2, _) in zip(iv, iv[1:]))
+
+
+def _is_dyadic(x):
+    return x.denominator & (x.denominator - 1) == 0
+
+
+ROOTS = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+
+@st.composite
+def root_polys(draw):
+    """Products of linear factors with rational roots, some repeated, some
+    pairs closer than 2^-20, and quadratics without real or rational roots,
+    times a rational scale of either sign."""
+    p = [draw(st.sampled_from([F(1), F(-3), F(2, 7)]))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["root", "repeated", "close", "no_real", "irrational"]))
+        r = draw(ROOTS)
+        if kind == "root":
+            factors = [[-r, F(1)]]
+        elif kind == "repeated":
+            factors = [[-r, F(1)]] * draw(st.integers(2, 3))
+        elif kind == "close":
+            gap = F(1, 2 ** draw(st.integers(21, 40)) + draw(st.integers(0, 5)))
+            factors = [[-r, F(1)], [-r - gap, F(1)]]
+        elif kind == "no_real":
+            factors = [[r * r + draw(st.integers(1, 5)), F(0), F(1)]]
+        else:
+            factors = [[F(-draw(st.sampled_from([2, 3, 5, 7]))), F(0), F(1)]]
+        for f in factors:
+            p = roots.umul(p, f)
+    return p
+
+
+class TestFractionOracleDifferential:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(root_polys())
+    def test_matches_fraction_sturm_counts(self, p):
+        sf = oracle.squarefree(p)
+        seq = oracle.sturm_sequence(sf) if oracle.udegree(sf) >= 1 else [sf]
+        bound = oracle.root_bound(sf)
+        total = oracle.count_roots(seq, -bound, bound) if len(seq) > 1 else 0
+
+        intervals = roots.isolate_real_roots(p)
+        assert len(intervals) == total
+        for lo, hi in intervals:
+            assert lo < hi and _is_dyadic(lo) and _is_dyadic(hi)
+            assert oracle.ueval(p, lo) != 0 and oracle.ueval(p, hi) != 0
+            assert oracle.count_roots(seq, lo, hi) == 1
+        assert all(hi1 < lo2 for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]))
+
+        samples = roots.sample_points_between_roots(p)
+        assert len(samples) == total + 1
+        assert all(_is_dyadic(s) and oracle.ueval(p, s) != 0 for s in samples)
+        for a, b in zip(samples, samples[1:]):
+            assert a < b and oracle.count_roots(seq, a, b) == 1
