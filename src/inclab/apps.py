@@ -1,16 +1,35 @@
 """Counting pipelines: distinct and repeated distances, and similar-triangle
-census via the circle-locus reduction."""
+census via the circle-locus reduction.
+
+A triangle pqr is similar to the shape abc, with p, q, r in the roles of
+a, b, c, when |pr|^2 = rho1 |pq|^2 and |qr|^2 = rho2 |pq|^2.  So the apexes r
+of the ordered pair (p, q) lie on Sphere(p, rho1 |pq|^2) and
+Sphere(q, rho2 |pq|^2), whose intersection has a closed form.  With
+t = (1 + rho1 - rho2) / 2, a constant of the shape, it is the circle with
+
+- centre p + t (q - p),
+- normal q - p,
+- squared radius (rho1 - t^2) |q - p|^2.
+
+rho1 - t^2 is a quarter of the Cayley-Menger value that `TriangleShape`
+checks to be > 0, so every pair of distinct points gives a circle.  The
+census clears P of denominators once and keys each circle by integers.
+Each incidence (r, circle of (p, q)) then gives the triangle {p, q, r}, so
+the triangles are counted from the incidences, not by a search over all
+triples.
+"""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import engine, geom
 from .errors import DegenerateShape, ValidationError
-from .geom import Circle, CircleCurve, Point3, Sphere, canonicalize, dist2, frac
+from .geom import Circle, Point3, dist2, frac
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +98,10 @@ class TriangleShape:
 
 @dataclass
 class TriangleCensus:
+    """`count_bruteforce` is the number of similar triangles.  It is counted
+    from the incidences and equals `similar_triangles_bruteforce`; the name
+    is the CLI output key."""
+
     count_bruteforce: int
     circles: list[tuple[Circle, int]]
     incidences: int
@@ -93,53 +116,91 @@ def shape_from_points(a: Point3, b: Point3, c: Point3) -> TriangleShape:
     return TriangleShape(dist2(a, c) / ab, dist2(b, c) / ab)
 
 
-def _matches_shape(d_ab: Fraction, d_ac: Fraction, d_bc: Fraction, shape) -> bool:
-    # (d_ab, d_ac, d_bc) proportional to (1, rho1, rho2), division-free
-    p1, q1 = shape.rho1.numerator, shape.rho1.denominator
-    p2, q2 = shape.rho2.numerator, shape.rho2.denominator
-    return d_ac * q1 == d_ab * p1 and d_bc * q2 == d_ab * p2
-
-
-def _collinear(p: Point3, q: Point3, r: Point3) -> bool:
-    return geom.is_zero_vec(
-        geom.cross(geom.vsub(q.as_tuple(), p.as_tuple()), geom.vsub(r.as_tuple(), p.as_tuple()))
-    )
-
-
 def similar_triangles_bruteforce(P: Sequence[Point3], shape: TriangleShape) -> int:
     """Unordered triples of P similar to the shape under some vertex
-    correspondence; mirror images count, collinear triples never do."""
+    correspondence; mirror images count, collinear triples never do.
+
+    The reference count: every triple is tested against all six vertex
+    orders, on one table of integer squared distances."""
     if len(P) < 3:
         raise ValidationError("need at least three points")
     if len(set(P)) != len(P):
         raise ValidationError("points must be distinct")
+    coords, _ = geom.integer_coords(P)
+    d2 = [
+        [(x - u) ** 2 + (y - v) ** 2 + (z - w) ** 2 for u, v, w in coords]
+        for x, y, z in coords
+    ]
+    p1, q1 = shape.rho1.numerator, shape.rho1.denominator
+    p2, q2 = shape.rho2.numerator, shape.rho2.denominator
     count = 0
-    for p, q, r in itertools.combinations(P, 3):
-        if _collinear(p, q, r):
+    for i, j, k in itertools.combinations(range(len(coords)), 3):
+        d_ij, d_ik, d_jk = d2[i][j], d2[i][k], d2[j][k]
+        # (ab, ac, bc) proportional to (1, rho1, rho2), division-free
+        if not any(
+            ac * q1 == ab * p1 and bc * q2 == ab * p2
+            for ab, ac, bc in (
+                (d_ij, d_ik, d_jk), (d_ij, d_jk, d_ik), (d_ik, d_ij, d_jk),
+                (d_ik, d_jk, d_ij), (d_jk, d_ij, d_ik), (d_jk, d_ik, d_ij),
+            )
+        ):
             continue
-        d_pq, d_pr, d_qr = dist2(p, q), dist2(p, r), dist2(q, r)
-        assignments = (
-            (d_pq, d_pr, d_qr),
-            (d_pq, d_qr, d_pr),
-            (d_pr, d_pq, d_qr),
-            (d_pr, d_qr, d_pq),
-            (d_qr, d_pq, d_pr),
-            (d_qr, d_pr, d_pq),
-        )
-        if any(_matches_shape(*a, shape) for a in assignments):
-            count += 1
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = coords[i], coords[j], coords[k]
+        ux, uy, uz = bx - ax, by - ay, bz - az
+        vx, vy, vz = cx - ax, cy - ay, cz - az
+        if uy * vz == uz * vy and uz * vx == ux * vz and ux * vy == uy * vx:
+            continue  # collinear
+        count += 1
     return count
 
 
-def pair_locus(p: Point3, q: Point3, shape: TriangleShape):
-    """Locus of apexes c with triangle p, q, c realizing the shape as abc:
-    the intersection of Sphere(p, rho1 d2) and Sphere(q, rho2 d2)."""
-    d2 = dist2(p, q)
-    if d2 == 0:
-        raise ValidationError("coincident pair")
-    return geom.surface_pair_intersection(
-        Sphere(p, shape.rho1 * d2), Sphere(q, shape.rho2 * d2)
-    )
+def _apex_circles(
+    P: Sequence[Point3], shape: TriangleShape
+) -> list[tuple[Circle, list[tuple[int, int]]]]:
+    """Apex circles over all ordered pairs of P, deduplicated and sorted by
+    repr, each with the ordered index pairs (i, j) producing it.
+
+    For integer points P, Q over the common denominator den, and
+    t = tn / td, the circle of (P, Q) has centre (td P + tn (Q - P)) /
+    (td den), the primitive form of Q - P as normal, and squared radius
+    (rho1 - t^2) |Q - P|^2 / den^2.  It is keyed by the centre's
+    numerators, the normal and |Q - P|^2."""
+    if len(P) < 2:
+        raise ValidationError("need at least two points")
+    if len(set(P)) != len(P):
+        raise ValidationError("points must be distinct")
+    coords, den = geom.integer_coords(P)
+    t = (1 + shape.rho1 - shape.rho2) / 2
+    tn, td = t.numerator, t.denominator
+    pairs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, (px, py, pz) in enumerate(coords):
+        for j, (qx, qy, qz) in enumerate(coords):
+            if i == j:
+                continue
+            dx, dy, dz = qx - px, qy - py, qz - pz
+            g = math.gcd(dx, dy, dz)
+            if (dx or dy or dz) < 0:
+                g = -g
+            key = (
+                td * px + tn * dx, td * py + tn * dy, td * pz + tn * dz,
+                dx // g, dy // g, dz // g,
+                dx * dx + dy * dy + dz * dz,
+            )
+            pairs.setdefault(key, []).append((i, j))
+    scale = td * den
+    radius_factor = (shape.rho1 - t * t) / (den * den)
+    circles = [
+        (
+            Circle(
+                Point3(Fraction(cx, scale), Fraction(cy, scale), Fraction(cz, scale)),
+                (nx, ny, nz),
+                radius_factor * d2,
+            ),
+            ij,
+        )
+        for (cx, cy, cz, nx, ny, nz, d2), ij in pairs.items()
+    ]
+    return sorted(circles, key=lambda item: repr(item[0]))
 
 
 def triangle_circles(
@@ -147,38 +208,31 @@ def triangle_circles(
 ) -> list[tuple[Circle, int]]:
     """Apex-locus circles over all ordered pairs of P, deduplicated, each
     with the number of ordered pairs producing it."""
-    if len(P) < 2:
-        raise ValidationError("need at least two points")
-    if len(set(P)) != len(P):
-        raise ValidationError("points must be distinct")
-    mult: dict[Circle, int] = {}
-    for p, q in itertools.permutations(P, 2):
-        locus = pair_locus(p, q, shape)
-        if isinstance(locus, CircleCurve):
-            gamma = canonicalize(locus.circle)
-            mult[gamma] = mult.get(gamma, 0) + 1
-    return sorted(mult.items(), key=lambda item: repr(item[0]))
+    return [(circle, len(ij)) for circle, ij in _apex_circles(P, shape)]
 
 
 def similar_triangles_via_incidences(
     P: Sequence[Point3], shape: TriangleShape
 ) -> TriangleCensus:
-    """Full census: circles with multiplicities, I(P, circles), brute-force
-    count, and the coplanar/cospherical maximum; the paper-shaped
-    inequalities are recorded as flags rather than hard failures."""
-    circles = triangle_circles(P, shape)
-    curve_list = [c for c, _ in circles]
-    incidences, _ = engine.count_incidences(P, curve_list)
-    brute = similar_triangles_bruteforce(P, shape)
-    if curve_list:
-        q_max, _ = engine.coplanar_cospherical_max(curve_list)
-    else:
-        q_max = 0
+    """Full census: circles with multiplicities, I(P, circles), the triangle
+    count read off the incidences, and the coplanar/cospherical maximum; the
+    paper-shaped inequalities are recorded as flags rather than hard
+    failures."""
+    apex = _apex_circles(P, shape)
+    if len(P) < 3:
+        raise ValidationError("need at least three points")
+    curve_list = [circle for circle, _ in apex]
+    incidences, graph = engine.count_incidences(P, curve_list)
+    # r on the circle of (i, j) makes {i, j, r} similar to the shape; r is
+    # neither i nor j, since |ir|^2 = rho1 |ij|^2 > 0
+    count = len({frozenset((i, j, r)) for r, cid in graph.edges for i, j in apex[cid][1]})
+    q_max, _ = engine.coplanar_cospherical_max(curve_list)
+    circles = [(circle, len(ij)) for circle, ij in apex]
     flags = []
     if any(m > 2 for _, m in circles):
         flags.append("ordered-pair multiplicity exceeds 2")
-    if 3 * brute > 2 * incidences:
+    if 3 * count > 2 * incidences:
         flags.append("triangle count exceeds two thirds of the incidence count")
     if q_max > 2 * len(P):
         flags.append("coplanar/cospherical circle count exceeds 2n")
-    return TriangleCensus(brute, circles, incidences, q_max, flags)
+    return TriangleCensus(count, circles, incidences, q_max, flags)

@@ -8,6 +8,7 @@ exact rational formats from the io module; output writes are atomic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -230,7 +231,11 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: `parse_args` keeps no
+    state between calls, and building it costs about as much as a small
+    op."""
     parser = argparse.ArgumentParser(
         prog="inclab", description="exact incidence-geometry laboratory"
     )

@@ -8,7 +8,11 @@ integer common-sphere kernel; the differential tests in `test_engine.py`
 compare the engine against them.  The `Fraction` Sturm root isolation, the
 `Fraction` cell and crossing censuses and the per-cell bisect threshold scan
 are the references of `roots`, `partition.cell_census`,
-`partition.crossing_census` and `partition._best_threshold`.
+`partition.crossing_census` and `partition._best_threshold`.  The
+`Fraction` similar-triangle brute force and the apex circles found through
+`geom.surface_pair_intersection` are the references of
+`apps.similar_triangles_bruteforce`, `apps.triangle_circles` and the census
+count.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from inclab import geom
+from inclab.apps import TriangleShape
 from inclab.engine import BipartiteDecomposition
 from inclab.errors import CoincidentObjects, UnsupportedObject, ValidationError
 from inclab.geom import (
@@ -35,6 +40,7 @@ from inclab.geom import (
     TriPoly,
     canonicalize,
     cross,
+    dist2,
     is_zero_vec,
     norm2,
     point_on_curve,
@@ -460,3 +466,73 @@ def best_threshold(cell_values: list[list[int]], pad: int) -> tuple[Fraction, in
         if best is None or worst < best[0]:
             best = (worst, theta)
     return Fraction(best[0], unit), best[1]
+
+
+# ---------------------------------------------------------------------------
+# similar triangles in Fraction
+
+def _matches_shape(d_ab: Fraction, d_ac: Fraction, d_bc: Fraction, shape) -> bool:
+    # (d_ab, d_ac, d_bc) proportional to (1, rho1, rho2), division-free
+    p1, q1 = shape.rho1.numerator, shape.rho1.denominator
+    p2, q2 = shape.rho2.numerator, shape.rho2.denominator
+    return d_ac * q1 == d_ab * p1 and d_bc * q2 == d_ab * p2
+
+
+def _collinear(p: Point3, q: Point3, r: Point3) -> bool:
+    return geom.is_zero_vec(
+        geom.cross(geom.vsub(q.as_tuple(), p.as_tuple()), geom.vsub(r.as_tuple(), p.as_tuple()))
+    )
+
+
+def similar_triangles_bruteforce(P: Sequence[Point3], shape: TriangleShape) -> int:
+    """Unordered triples of P similar to the shape under some vertex
+    correspondence; mirror images count, collinear triples never do."""
+    if len(P) < 3:
+        raise ValidationError("need at least three points")
+    if len(set(P)) != len(P):
+        raise ValidationError("points must be distinct")
+    count = 0
+    for p, q, r in itertools.combinations(P, 3):
+        if _collinear(p, q, r):
+            continue
+        d_pq, d_pr, d_qr = dist2(p, q), dist2(p, r), dist2(q, r)
+        assignments = (
+            (d_pq, d_pr, d_qr),
+            (d_pq, d_qr, d_pr),
+            (d_pr, d_pq, d_qr),
+            (d_pr, d_qr, d_pq),
+            (d_qr, d_pq, d_pr),
+            (d_qr, d_pr, d_pq),
+        )
+        if any(_matches_shape(*a, shape) for a in assignments):
+            count += 1
+    return count
+
+
+def pair_locus(p: Point3, q: Point3, shape: TriangleShape):
+    """Locus of apexes c with triangle p, q, c realizing the shape as abc:
+    the intersection of Sphere(p, rho1 d2) and Sphere(q, rho2 d2)."""
+    d2 = dist2(p, q)
+    if d2 == 0:
+        raise ValidationError("coincident pair")
+    return geom.surface_pair_intersection(
+        Sphere(p, shape.rho1 * d2), Sphere(q, shape.rho2 * d2)
+    )
+
+
+def triangle_circles(
+    P: Sequence[Point3], shape: TriangleShape
+) -> list[tuple[Circle, int]]:
+    """Apex-locus circles over all ordered pairs of P, deduplicated, each
+    with the number of ordered pairs producing it."""
+    if len(P) < 2:
+        raise ValidationError("need at least two points")
+    if len(set(P)) != len(P):
+        raise ValidationError("points must be distinct")
+    mult: dict[Circle, int] = {}
+    for p, q in itertools.permutations(P, 2):
+        locus = pair_locus(p, q, shape)
+        if isinstance(locus, CircleCurve):
+            gamma = canonicalize(locus.circle)
+            mult[gamma] = mult.get(gamma, 0) + 1
+    return sorted(mult.items(), key=lambda item: repr(item[0]))

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
 
+import oracle
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from inclab import apps, construct, geom
 from inclab.errors import DegenerateShape, ValidationError
@@ -9,6 +11,60 @@ from inclab.geom import dist2, point
 
 UNIT_SQUARE = [point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(1, 1, 0)]
 EQUILATERAL = [point(0, 0, 0), point(1, 1, 0), point(1, 0, 1)]
+
+# every sign of t = (1 + rho1 - rho2) / 2, which places the apex circle's
+# centre on the line pq: behind p, at p, midway, at q, beyond q
+SHAPES = [
+    apps.TriangleShape(1, 3),  # t = -1/2
+    apps.TriangleShape(F(4, 9), F(13, 9)),  # t = 0: rho2 = 1 + rho1
+    apps.TriangleShape(1, 2),  # t = 0
+    apps.TriangleShape(1, 1),  # t = 1/2: rho1 = rho2
+    apps.TriangleShape(F(9, 4), F(9, 4)),  # t = 1/2
+    apps.TriangleShape(F(25, 9), F(16, 9)),  # t = 1: rho1 = 1 + rho2
+    apps.TriangleShape(F(3, 2), F(1, 3)),  # t = 13/12
+]
+
+
+@st.composite
+def point_sets(draw, min_size=3, max_size=7):
+    """Distinct rational points with denominators up to 12: all or some on
+    one small lattice, so that similar triangles occur."""
+    den = draw(st.integers(1, 12))
+    lattice = st.integers(0, 2).map(lambda a: F(a, den))
+    free = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+    on_lattice, anywhere = st.tuples(lattice, lattice, lattice), st.tuples(free, free, free)
+    n = draw(st.integers(min_size, max_size))
+    some_point = draw(st.sampled_from([on_lattice, st.one_of(on_lattice, anywhere)]))
+    coords = draw(st.lists(some_point, min_size=n, max_size=n, unique=True))
+    return [point(*c) for c in coords]
+
+
+@st.composite
+def census_cases(draw):
+    """A point set and a shape: a fixed one, one taken from three of the
+    points, or one with large denominators."""
+    P = draw(point_sets())
+    kind = draw(st.sampled_from(["fixed", "from_points", "from_points", "large"]))
+    if kind == "fixed":
+        return P, draw(st.sampled_from(SHAPES))
+    try:
+        if kind == "from_points":
+            return P, apps.shape_from_points(*draw(st.permutations(P))[:3])
+        big = st.integers(10**5, 10**6)
+        d1, d2 = draw(big), draw(big)
+        return P, apps.TriangleShape(
+            F(draw(st.integers(d1 // 4, 4 * d1)), d1), F(draw(st.integers(d2 // 4, 4 * d2)), d2)
+        )
+    except DegenerateShape:
+        assume(False)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestDistances:
@@ -99,6 +155,13 @@ class TestTriangleCircles:
         for shape in (apps.TriangleShape(1, 1), apps.TriangleShape(1, 2)):
             assert all(m <= 2 for _, m in apps.triangle_circles(P, shape))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(census_cases())
+    def test_matches_fraction_oracle(self, case):
+        P, shape = case
+        got = [(repr(c), m) for c, m in apps.triangle_circles(P, shape)]
+        assert got == [(repr(c), m) for c, m in oracle.triangle_circles(P, shape)]
+
 
 class TestBruteforce:
     def test_equilateral(self):
@@ -118,6 +181,13 @@ class TestBruteforce:
         count = apps.similar_triangles_bruteforce(pts, apps.TriangleShape(1, 2))
         assert count >= 2
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(census_cases())
+    def test_matches_fraction_oracle(self, case):
+        P, shape = case
+        assert apps.similar_triangles_bruteforce(P, shape) == \
+            oracle.similar_triangles_bruteforce(P, shape)
+
 
 class TestCensus:
     def test_unit_square_census(self):
@@ -133,6 +203,16 @@ class TestCensus:
         assert census.incidences >= 2
         assert census.flags == []
 
+    def test_circle_shared_by_two_pairs(self):
+        # t = -1: the pairs (0, 1) and (-2, -3) on the x axis share the apex
+        # circle centred at x = -1, and (-1, 1, 0) on it completes a scalene
+        # triangle with each of them
+        P = [point(0, 0, 0), point(1, 0, 0), point(-2, 0, 0), point(-3, 0, 0), point(-1, 1, 0)]
+        shape = apps.TriangleShape(2, 5)
+        census = apps.similar_triangles_via_incidences(P, shape)
+        assert census.count_bruteforce == apps.similar_triangles_bruteforce(P, shape) == 2
+        assert max(m for _, m in census.circles) == 2
+
     def test_random_instance_invariants(self):
         rng = random.Random(12)
         P = sorted(
@@ -147,3 +227,31 @@ class TestCensus:
         assert 3 * census.count_bruteforce <= 2 * census.incidences
         assert all(m <= 2 for _, m in census.circles)
         assert census.cospherical_coplanar_max <= 2 * len(P)
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(census_cases())
+    def test_count_matches_fraction_bruteforce(self, case):
+        P, shape = case
+        census = apps.similar_triangles_via_incidences(P, shape)
+        assert census.count_bruteforce == oracle.similar_triangles_bruteforce(P, shape)
+        assert [(repr(c), m) for c, m in census.circles] == \
+            [(repr(c), m) for c, m in oracle.triangle_circles(P, shape)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(point_sets(min_size=0, max_size=4), st.booleans(), st.sampled_from(SHAPES))
+    def test_bad_input_errors_match_oracle(self, P, duplicate, shape):
+        if duplicate and P:
+            P = P + [P[-1]]
+        assume(len(P) < 3 or duplicate)
+
+        def oracle_census(P, shape):
+            oracle.triangle_circles(P, shape)
+            oracle.similar_triangles_bruteforce(P, shape)
+
+        error = _raised(oracle_census, P, shape)
+        assert error is not None
+        assert _raised(apps.similar_triangles_via_incidences, P, shape) == error
+        for ours, ref in ((apps.triangle_circles, oracle.triangle_circles),
+                          (apps.similar_triangles_bruteforce, oracle.similar_triangles_bruteforce)):
+            assert _raised(ours, P, shape) == _raised(ref, P, shape)

@@ -142,6 +142,17 @@ class TestCli:
         assert sum(payload["census"].values()) == 16
         assert all(c <= 3 for c in payload["crossings"])  # degree 2 polynomial
 
+    def test_parser_built_once_keeps_no_state(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        prefix = str(tmp_path / "g")
+        assert self.run("generate", "elekes", "--k", "2", "--out-prefix", prefix) == 0
+        argv = ("partition", "--points", prefix + ".points.csv", "--rounds", "2", "--seed", "1")
+        assert self.run(*argv, "--census", "--cross-lines", "2") == 0
+        first = json.loads(capsys.readouterr().out)
+        assert set(first) == {"partition", "census", "crossings"}
+        assert self.run(*argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"partition": first["partition"]}
+
     def test_partition_negative_cross_lines(self, tmp_path, capsys):
         ppath = tmp_path / "p.csv"
         ppath.write_text(io.points_to_csv([point(i, i * i, 1) for i in range(8)]))
