@@ -22,7 +22,6 @@ triples.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -178,12 +177,9 @@ def _apex_circles(
             if i == j:
                 continue
             dx, dy, dz = qx - px, qy - py, qz - pz
-            g = math.gcd(dx, dy, dz)
-            if (dx or dy or dz) < 0:
-                g = -g
             key = (
                 td * px + tn * dx, td * py + tn * dy, td * pz + tn * dz,
-                dx // g, dy // g, dz // g,
+                *geom.primitive_vector((dx, dy, dz)),
                 dx * dx + dy * dy + dz * dz,
             )
             pairs.setdefault(key, []).append((i, j))

@@ -53,13 +53,8 @@ from .geom import (
 
 @dataclass(frozen=True)
 class IncidenceGraph:
-    point_ids: tuple[int, ...]
     object_ids: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
-
-
-def _primitive_ints(v) -> tuple[int, ...]:
-    return tuple(int(c) for c in primitive_vector(v))
 
 
 def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[int, int]]:
@@ -73,12 +68,13 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
 
     - sphere or circle: integer centre C; |P - C|^2 against den^2 r^2,
       then n . (P - C) = 0 for the circles found;
-    - plane: primitive normal n; -(n . P) against den d / s, where the
-      plane is s (n . x) + d = 0;
+    - plane: (a, b, c) of the primitive form (a, b, c, d) of its
+      coefficients; -(a, b, c) . P against den d, always an integer, so no
+      plane is skipped;
     - line: primitive direction v; P x v against the moment O x v.
 
-    An object whose scaled target is not an integer holds no point and is
-    not stored.  Implicit surfaces and curves have no shape key and are
+    A sphere or circle whose den^2 r^2 is not an integer holds no point and
+    is not stored.  Implicit surfaces and curves have no shape key and are
     tested per pair with the exact predicates.
     """
     anchors = {
@@ -97,19 +93,15 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
             target = den * den * obj.radius2
             if target.denominator != 1:
                 continue
-            normal = _primitive_ints(obj.normal) if isinstance(obj, Circle) else None
+            normal = primitive_vector(obj.normal) if isinstance(obj, Circle) else None
             centred.setdefault(anchor_of[oid], {}).setdefault(target.numerator, []).append(
                 (normal, oid)
             )
         elif isinstance(obj, Plane):
-            normal = _primitive_ints(obj.normal())
-            scale = next(c for c in obj.normal() if c != 0) / next(c for c in normal if c != 0)
-            target = den * obj.d / scale
-            if target.denominator != 1:
-                continue
-            planes.setdefault(normal, {}).setdefault(target.numerator, []).append(oid)
+            a, b, c, d = primitive_vector((obj.a, obj.b, obj.c, obj.d))
+            planes.setdefault((a, b, c), {}).setdefault(den * d, []).append(oid)
         elif isinstance(obj, Line):
-            vx, vy, vz = direction = _primitive_ints(obj.direction)
+            vx, vy, vz = direction = primitive_vector(obj.direction)
             ox, oy, oz = anchor_of[oid]
             moment = (oy * vz - oz * vy, oz * vx - ox * vz, ox * vy - oy * vx)
             lines.setdefault(direction, {}).setdefault(moment, []).append(oid)
@@ -147,10 +139,7 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
 def count_incidences(points: Sequence[Point3], objects: Sequence) -> tuple[int, IncidenceGraph]:
     """Exact incidence count plus the full incidence graph (ids are indices)."""
     edges = _incidence_edges(points, objects)
-    graph = IncidenceGraph(
-        tuple(range(len(points))), tuple(range(len(objects))), frozenset(edges)
-    )
-    return len(edges), graph
+    return len(edges), IncidenceGraph(tuple(range(len(objects))), frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +242,7 @@ def contains_krs(graph: IncidenceGraph, r: int, s: int) -> bool:
 # ---------------------------------------------------------------------------
 # generic projection to the plane
 
-PlanarCurveRecord = tuple[str, tuple[Fraction, ...]]
+PlanarCurveRecord = tuple[str, tuple[int, ...]]
 
 
 @dataclass
@@ -391,11 +380,9 @@ def _circle_frame(circles: Sequence[Circle]) -> tuple[list[tuple], int, int]:
     the denominators of den^2 r^2, and W = L den^2 r^2.
     """
     centres, den = geom.integer_coords(c.center for c in circles)
-    scaled = [den * den * c.radius2 for c in circles]
-    scale = math.lcm(*(r.denominator for r in scaled))
+    widths, scale = geom.clear_denominators(den * den * c.radius2 for c in circles)
     frame = [
-        (_primitive_ints(c.normal), centre, r.numerator * (scale // r.denominator))
-        for c, centre, r in zip(circles, centres, scaled)
+        (primitive_vector(c.normal), centre, w) for c, centre, w in zip(circles, centres, widths)
     ]
     return frame, den, scale
 

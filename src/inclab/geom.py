@@ -4,6 +4,12 @@ Scalars are `fractions.Fraction` (arbitrary precision, always reduced, exact
 arithmetic), points are rational 3-vectors, and every predicate is decided
 exactly.  Radii of spheres and circles are stored *squared* so that the whole
 pipeline stays inside the rationals.
+
+The integer frame lives here as well: `clear_denominators` is the one place
+where rational values become ints over their common denominator.
+`integer_coords` applies it to points and `primitive_vector` to directions
+and coefficient vectors; the integer cores of `engine`, `apps`, `partition`
+and `roots` start from these.
 """
 
 from __future__ import annotations
@@ -73,23 +79,24 @@ def is_zero_vec(v: Vec3) -> bool:
     return v[0] == 0 and v[1] == 0 and v[2] == 0
 
 
-def primitive_vector(v: Iterable[Fraction]) -> tuple[Fraction, ...]:
+def clear_denominators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rational values times the lcm of their denominators, as ints, and
+    that lcm: the one place where rationals become integers."""
+    values = list(values)
+    den = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def primitive_vector(v: Iterable[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    comps = [frac(c) for c in v]
-    if all(c == 0 for c in comps):
+    # ints and Fractions are exact as they are; frac rejects floats
+    ints, _ = clear_denominators([c if isinstance(c, (int, Fraction)) else frac(c) for c in v])
+    g = math.gcd(*ints)
+    if g == 0:
         raise ValidationError("zero vector has no primitive form")
-    lcm = 1
-    for c in comps:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [c.numerator * (lcm // c.denominator) for c in comps]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    lead = next(c for c in ints if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
+    if next(filter(None, ints)) < 0:
+        g = -g
+    return tuple([c // g for c in ints])
 
 
 @dataclass(frozen=True)
@@ -114,10 +121,9 @@ def point(x, y, z) -> Point3:
 def integer_coords(points: Iterable[Point3]) -> tuple[list[tuple[int, int, int]], int]:
     """The points' coordinates times their common denominator, as int
     triples, and that denominator."""
-    points = list(points)
-    den = math.lcm(*(c.denominator for p in points for c in p.as_tuple()))
-    coords = [tuple(c.numerator * (den // c.denominator) for c in p.as_tuple()) for p in points]
-    return coords, den
+    ints, den = clear_denominators(c for p in points for c in p.as_tuple())
+    it = iter(ints)
+    return list(zip(it, it, it)), den
 
 
 def dist2(p: Point3, q: Point3) -> Fraction:
@@ -404,13 +410,8 @@ IntersectionResult = Union[
 def canonicalize(obj):
     """Canonical representative within each tag class; idempotent."""
     if isinstance(obj, Plane):
-        a, b, c, d = primitive_vector([obj.a, obj.b, obj.c, obj.d])
-        if a == 0 and b == 0 and c == 0:
-            raise ValidationError("plane normal must be nonzero")
-        lead = next(v for v in (a, b, c) if v != 0)
-        if lead < 0:
-            a, b, c, d = -a, -b, -c, -d
-        return Plane(a, b, c, d)
+        # the first nonzero entry is one of a, b, c, since the normal is nonzero
+        return Plane(*primitive_vector([obj.a, obj.b, obj.c, obj.d]))
     if isinstance(obj, Sphere):
         return obj
     if isinstance(obj, Implicit):

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 from . import io, roots
 from .errors import BudgetExhausted, GuardExceeded, ValidationError
-from .geom import Line, Point3, TriPoly, frac, integer_coords
+from .geom import Line, Point3, TriPoly, clear_denominators, frac, integer_coords
 
 CellLabel = Union[tuple[str, ...], str]
 
@@ -244,23 +244,19 @@ def build_partition(
 # ---------------------------------------------------------------------------
 # classification and censuses
 
-def _numerators(f: TriPoly) -> list[tuple[int, int, int, int]]:
-    """f's terms as (c, i, j, k) with integer c: f times the positive lcm of
-    its coefficients' denominators, which keeps every sign."""
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return [
-        (c.numerator * (den // c.denominator), i, j, k) for (i, j, k), c in f.terms.items()
-    ]
+def _integer_terms(f: TriPoly, den: int) -> list[tuple[int, int, int, int]]:
+    """f's terms as (c den**(d - |m|), i, j, k), for m = (i, j, k), d = deg f
+    and c the coefficients cleared of denominators: a positive multiple of
+    den**d f(P / den) on integer coordinates P, which keeps every sign."""
+    cs, _ = clear_denominators(f.terms.values())
+    d = f.degree()
+    return [(c * den ** (d - i - j - k), i, j, k) for c, (i, j, k) in zip(cs, f.terms)]
 
 
 def _labels(points: Sequence[Point3], part: PartitionPolynomial) -> list[CellLabel]:
     """Each point's cell label, with every factor evaluated in integers."""
     coords, den = integer_coords(points)
-    # den**d f(P / den) for integer coordinates P: the den**(d - |m|) lift
-    factors = []
-    for f in part.round_factors:
-        d = f.degree()
-        factors.append([(c * den ** (d - i - j - k), i, j, k) for c, i, j, k in _numerators(f)])
+    factors = [_integer_terms(f, den) for f in part.round_factors]
     labels: list[CellLabel] = []
     for x, y, z in coords:
         signs = []
@@ -291,10 +287,9 @@ def _restrict(f: TriPoly, origin: tuple[int, int, int], direction: tuple[int, in
     """Integer coefficients (ascending) of t -> c den**d f((origin + t direction) / den),
     a positive multiple of f along the line (c clears f's denominators, d is
     f's degree)."""
-    d = f.degree()
-    total = [0] * (d + 1)
-    for c, i, j, k in _numerators(f):
-        term = [c * den ** (d - i - j - k)]
+    total = [0] * (f.degree() + 1)
+    for c, i, j, k in _integer_terms(f, den):
+        term = [c]
         for o, v, e in zip(origin, direction, (i, j, k)):
             for _ in range(e):
                 term = roots.umul(term, [o, v])

@@ -1,12 +1,13 @@
 """Exact real-root isolation for univariate polynomials, in integers.
 
 Polynomials are coefficient lists in ascending degree order.  The public
-entry points take rational lists (ints or Fractions); inside, every
-polynomial is a primitive integer polynomial, because multiplying by a
-positive constant keeps every sign.  Isolation uses one method: Sturm
-sequences from pseudo-remainders, scaled by |lc|^(delta+1) so that no sign
-flips and divided by their content at each step, with bisection from the
-Cauchy bound rounded up to a power of two.  Every point is dyadic, a / 2^k,
+entry points take rational lists (ints or Fractions), which
+`geom.clear_denominators` clears to ints; inside, every polynomial is a
+primitive integer polynomial, because multiplying by a positive constant
+keeps every sign.  Isolation uses one method: Sturm sequences from
+pseudo-remainders, scaled by |lc|^(delta+1) so that no sign flips and
+divided by their content at each step, with bisection from the Cauchy bound
+rounded up to a power of two.  Every point is dyadic, a / 2^k,
 and its sign comes from homogenized Horner in ints with shifts.  Returned
 intervals and sample points are dyadic `Fraction`s that are never roots.
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .geom import clear_denominators
 
 UPoly = list  # ascending coefficients: ints, or Fractions at the public API
 
@@ -64,9 +67,7 @@ def _primitive(p: list[int]) -> list[int]:
 def _integer(p: UPoly) -> list[int]:
     """The primitive integer polynomial that is a positive multiple of the
     rational polynomial p."""
-    p = utrim(p)
-    den = math.lcm(*(c.denominator for c in p))
-    return _primitive([c.numerator * (den // c.denominator) for c in p])
+    return _primitive(clear_denominators(utrim(p))[0])
 
 
 def _udivmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from inclab import construct, engine, geom
@@ -125,6 +125,17 @@ def incidence_instances(draw):
 class TestDifferential:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(incidence_instances())
+    # parallel planes 2x + 4y + 6z + 1 = 0 and x + 2y + 3z - 5 = 0, points on each
+    @example((
+        [point(F(-1, 2), 0, 0), point(F(1, 2), F(-1, 2), 0), point(5, 0, 0),
+         point(F(1, 3), F(1, 3), F(4, 3)), point(0, 0, 0)],
+        [Plane(2, 4, 6, 1), Plane(1, 2, 3, -5), Plane(F(-1, 2), -1, F(-3, 2), F(5, 2))],
+    ))
+    # over den 3, planes whose primitive (a, b, c, d) has gcd(a, b, c) not dividing den d
+    @example((
+        [point(F(1, 3), 0, 0), point(1, 2, 3), point(0, 0, 0)],
+        [Plane(F(2, 3), F(4, 3), 0, F(1, 5)), Plane(2, 4, 6, 1)],
+    ))
     def test_matches_all_pairs_oracle(self, instance):
         pts, objs = instance
         edges = engine._incidence_edges(pts, objs)
@@ -191,6 +202,21 @@ class TestRichPoints:
     def test_r_guard(self):
         with pytest.raises(ValidationError):
             engine.rich_points([], 1)
+
+
+LINE = Line(point(0, 0, 0), (F(1), F(2), F(0)))
+CIRCLE = Circle(point(1, 0, 0), (F(0), F(0), F(1)), F(4))
+
+
+@pytest.mark.parametrize("call, args", [
+    (engine.rich_points, ([LINE, LINE], 2)),
+    (engine.rich_points, ([CIRCLE, CIRCLE], 2)),
+    (engine.coplanar_cospherical_max,
+     ([CIRCLE, Circle(point(1, 0, 0), (F(0), F(0), F(-3)), F(4))],)),
+], ids=["rich_points-line", "rich_points-circle", "cospherical-scaled-normal"])
+def test_repeated_curves_rejected(call, args):
+    with pytest.raises(ValidationError):
+        call(*args)
 
 
 class TestKrs:

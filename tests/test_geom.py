@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inclab import geom
@@ -40,6 +41,36 @@ class TestScalars:
         assert geom.primitive_vector((F(0), F(-4), F(6))) == (0, 2, -3)
         # first nonzero positive
         assert geom.primitive_vector((F(-1), F(2), F(0)))[0] > 0
+        assert all(type(c) is int for c in geom.primitive_vector((F(-1, 2), 3, F(0))))
+        with pytest.raises(ValidationError):
+            geom.primitive_vector((F(0), 0, F(0)))
+        with pytest.raises(ValidationError):
+            geom.primitive_vector((F(1), 0.5, F(0)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.fractions(min_value=-30, max_value=30, max_denominator=50) | st.just(F(0)),
+        min_size=1, max_size=6,
+    ))
+    @example([F(0), F(-3, 4), F(0), F(5, 6)])
+    @example([F(0), F(0)])
+    def test_clear_denominators_and_primitive_vector(self, v):
+        ints, den = geom.clear_denominators(v)
+        assert den == math.lcm(*(c.denominator for c in v))
+        assert all(type(c) is int for c in ints)
+        assert [F(c, den) for c in ints] == v
+        if not any(v):
+            with pytest.raises(ValidationError):
+                geom.primitive_vector(v)
+            return
+        prim = geom.primitive_vector(v)
+        assert all(type(c) is int for c in prim)
+        assert math.gcd(*prim) == 1
+        assert next(c for c in prim if c) > 0
+        # parallel: one rational multiple of v
+        lead = next(c for c in v if c)
+        scale = prim[v.index(lead)] / lead
+        assert [scale * c for c in v] == list(prim)
 
 
 class TestTriPoly:
