@@ -13,10 +13,15 @@ t = (1 + rho1 - rho2) / 2, a constant of the shape, it is the circle with
 
 rho1 - t^2 is a quarter of the Cayley-Menger value that `TriangleShape`
 checks to be > 0, so every pair of distinct points gives a circle.  The
-census clears P of denominators once and keys each circle by integers.
-Each incidence (r, circle of (p, q)) then gives the triangle {p, q, r}, so
-the triangles are counted from the incidences, not by a search over all
-triples.
+census clears P of denominators once, keys each circle by integers and
+gives it the integer frame row (n, C, W) of `engine._circle_frame`, with
+one scale L for the whole shape (`_apex_circles`).  The incidences and the
+coplanar/cospherical maximum are computed on that frame
+(`engine._centred_edges`, `engine._cospherical_max`); a circle whose W / L
+is not an integer holds no point and is skipped.  `Circle` objects are
+built only as witnesses for the output.  Each incidence (r, circle of
+(p, q)) gives the triangle {p, q, r}, so the triangles are counted from
+the incidences, not by a search over all triples.
 """
 
 from __future__ import annotations
@@ -155,15 +160,23 @@ def similar_triangles_bruteforce(P: Sequence[Point3], shape: TriangleShape) -> i
 
 def _apex_circles(
     P: Sequence[Point3], shape: TriangleShape
-) -> list[tuple[Circle, list[tuple[int, int]]]]:
-    """Apex circles over all ordered pairs of P, deduplicated and sorted by
-    repr, each with the ordered index pairs (i, j) producing it.
+) -> tuple[list[tuple[Circle, list[tuple[int, int]], tuple]], list[tuple[int, int, int]], int]:
+    """Apex circles over all ordered pairs of P in one integer frame.
 
-    For integer points P, Q over the common denominator den, and
-    t = tn / td, the circle of (P, Q) has centre (td P + tn (Q - P)) /
-    (td den), the primitive form of Q - P as normal, and squared radius
-    (rho1 - t^2) |Q - P|^2 / den^2.  It is keyed by the centre's
-    numerators, the normal and |Q - P|^2."""
+    Returns the circles, deduplicated and sorted by repr, each with the
+    ordered index pairs (i, j) producing it and its frame row (n, C, W);
+    the points of P in the frame; and the frame's scale L.
+
+    For integer points P, Q over the common denominator den, t = tn / td
+    and den' = td den, the circle of (P, Q) has centre C / den' with
+    C = td P + tn (Q - P), the primitive form n of Q - P as normal (the
+    same for (Q, P), so it is computed once per unordered pair), and
+    squared radius (rho1 - t^2) |Q - P|^2 / den^2.  With
+    (rho1 - t^2) td^2 = w / L in lowest terms, W = w |Q - P|^2, so
+    W / L = den'^2 r^2, as in `engine._circle_frame`.  The points are lifted
+    to the frame as td P, so a point's squared distance to C is an integer,
+    and a circle whose W / L is not one holds no point.  A circle is keyed
+    by C, n and |Q - P|^2."""
     if len(P) < 2:
         raise ValidationError("need at least two points")
     if len(set(P)) != len(P):
@@ -171,32 +184,34 @@ def _apex_circles(
     coords, den = geom.integer_coords(P)
     t = (1 + shape.rho1 - shape.rho2) / 2
     tn, td = t.numerator, t.denominator
-    pairs: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    width = (shape.rho1 - t * t) * td * td
+    pairs: dict[tuple, list[tuple[int, int]]] = {}
     for i, (px, py, pz) in enumerate(coords):
-        for j, (qx, qy, qz) in enumerate(coords):
-            if i == j:
-                continue
+        for j in range(i + 1, len(coords)):
+            qx, qy, qz = coords[j]
             dx, dy, dz = qx - px, qy - py, qz - pz
-            key = (
-                td * px + tn * dx, td * py + tn * dy, td * pz + tn * dz,
-                *geom.primitive_vector((dx, dy, dz)),
-                dx * dx + dy * dy + dz * dz,
-            )
-            pairs.setdefault(key, []).append((i, j))
-    scale = td * den
-    radius_factor = (shape.rho1 - t * t) / (den * den)
+            normal = geom.primitive_vector((dx, dy, dz))
+            d2 = dx * dx + dy * dy + dz * dz
+            centre = (td * px + tn * dx, td * py + tn * dy, td * pz + tn * dz)
+            pairs.setdefault((centre, normal, d2), []).append((i, j))
+            centre = (td * qx - tn * dx, td * qy - tn * dy, td * qz - tn * dz)
+            pairs.setdefault((centre, normal, d2), []).append((j, i))
+    frame_den = td * den
+    radius_factor = width / (frame_den * frame_den)
     circles = [
         (
             Circle(
-                Point3(Fraction(cx, scale), Fraction(cy, scale), Fraction(cz, scale)),
-                (nx, ny, nz),
+                Point3(Fraction(cx, frame_den), Fraction(cy, frame_den), Fraction(cz, frame_den)),
+                normal,
                 radius_factor * d2,
             ),
             ij,
+            (normal, (cx, cy, cz), width.numerator * d2),
         )
-        for (cx, cy, cz, nx, ny, nz, d2), ij in pairs.items()
+        for ((cx, cy, cz), normal, d2), ij in pairs.items()
     ]
-    return sorted(circles, key=lambda item: repr(item[0]))
+    circles.sort(key=lambda item: repr(item[0]))
+    return circles, [(td * x, td * y, td * z) for x, y, z in coords], width.denominator
 
 
 def triangle_circles(
@@ -204,7 +219,7 @@ def triangle_circles(
 ) -> list[tuple[Circle, int]]:
     """Apex-locus circles over all ordered pairs of P, deduplicated, each
     with the number of ordered pairs producing it."""
-    return [(circle, len(ij)) for circle, ij in _apex_circles(P, shape)]
+    return [(circle, len(ij)) for circle, ij, _ in _apex_circles(P, shape)[0]]
 
 
 def similar_triangles_via_incidences(
@@ -214,16 +229,23 @@ def similar_triangles_via_incidences(
     count read off the incidences, and the coplanar/cospherical maximum; the
     paper-shaped inequalities are recorded as flags rather than hard
     failures."""
-    apex = _apex_circles(P, shape)
+    apex, points, scale = _apex_circles(P, shape)
     if len(P) < 3:
         raise ValidationError("need at least three points")
-    curve_list = [circle for circle, _ in apex]
-    incidences, graph = engine.count_incidences(P, curve_list)
+    frame = [row for _, _, row in apex]
+    # centre -> W / L -> [(normal, circle id)]; a circle whose W / L is not
+    # an integer holds no point of the frame and is not stored
+    centred: dict[tuple, dict[int, list]] = {}
+    for cid, (normal, centre, w) in enumerate(frame):
+        if w % scale == 0:
+            centred.setdefault(centre, {}).setdefault(w // scale, []).append((normal, cid))
+    edges = engine._centred_edges(points, centred)
+    incidences = len(edges)
     # r on the circle of (i, j) makes {i, j, r} similar to the shape; r is
     # neither i nor j, since |ir|^2 = rho1 |ij|^2 > 0
-    count = len({frozenset((i, j, r)) for r, cid in graph.edges for i, j in apex[cid][1]})
-    q_max, _ = engine.coplanar_cospherical_max(curve_list)
-    circles = [(circle, len(ij)) for circle, ij in apex]
+    count = len({frozenset((i, j, r)) for r, cid in edges for i, j in apex[cid][1]})
+    q_max = engine._cospherical_max(frame, scale)[0]
+    circles = [(circle, len(ij)) for circle, ij, _ in apex]
     flags = []
     if any(m > 2 for _, m in circles):
         flags.append("ordered-pair multiplicity exceeds 2")

@@ -6,13 +6,21 @@ incidences through one integer core, `_incidence_edges`: coordinates are
 cleared of denominators once, and planes, spheres, lines and circles are
 bucketed by a shape key, so each point is looked up in the buckets rather
 than tested against every object.  Only implicit surfaces and curves are
-tested per pair, with the exact `Fraction` predicates.
+tested per pair, with the exact `Fraction` predicates.  Spheres and
+circles are matched by one routine, `_centred_edges`, over buckets keyed
+by integer centre and scaled squared radius.
 
 `coplanar_cospherical_max` and `common_sphere` share one integer kernel,
-`_sphere_key`: circles are put in one frame of primitive integer normals,
-denominator-cleared centres and scaled squared radii (`_circle_frame`), and
-every circle pair is tested there in Python ints; `Plane` and `Sphere`
-witnesses are built only for the answer.
+`_sphere_key`: circles are put in one frame of rows (n, C, W) with a scale
+L (`_circle_frame`): n the primitive integer normal, C the
+denominator-cleared centre, and W / L the squared radius in the same
+units.  Every circle pair is tested there in Python ints
+(`_cospherical_max`); `Plane` and `Sphere` witnesses are built only for
+the answer.
+
+The similar-triangle census builds these rows itself, in closed form
+(`apps._apex_circles`), and calls `_centred_edges` and `_cospherical_max`
+on them directly.
 """
 
 from __future__ import annotations
@@ -57,6 +65,31 @@ class IncidenceGraph:
     edges: frozenset[tuple[int, int]]
 
 
+def _centred_edges(
+    points: Sequence[tuple[int, int, int]],
+    centred: dict[tuple, dict[int, list[tuple[Optional[tuple], int]]]],
+) -> list[tuple[int, int]]:
+    """Every (point id, object id) pair of a point on a sphere or circle.
+
+    Points and centres are int triples in one frame.  `centred` maps a
+    centre C to the integer squared radius T in that frame, and T to the
+    [(primitive normal n of a circle, or None for a sphere, object id)]
+    with that centre and T.  A point P is on the object when
+    |P - C|^2 = T and, for a circle, n . (P - C) = 0.
+    """
+    edges = []
+    for pid, (x, y, z) in enumerate(points):
+        for (cx, cy, cz), by_target in centred.items():
+            dx, dy, dz = x - cx, y - cy, z - cz
+            hit = by_target.get(dx * dx + dy * dy + dz * dz)
+            if hit:
+                edges.extend(
+                    (pid, oid) for n, oid in hit
+                    if n is None or n[0] * dx + n[1] * dy + n[2] * dz == 0
+                )
+    return edges
+
+
 def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[int, int]]:
     """Every incident (point id, object id) pair; ids are indices.
 
@@ -67,7 +100,7 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
     instead of being tested against every object:
 
     - sphere or circle: integer centre C; |P - C|^2 against den^2 r^2,
-      then n . (P - C) = 0 for the circles found;
+      then n . (P - C) = 0 for the circles found (`_centred_edges`);
     - plane: (a, b, c) of the primitive form (a, b, c, d) of its
       coefficients; -(a, b, c) . P against den d, always an integer, so no
       plane is skipped;
@@ -108,16 +141,9 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
         else:
             per_pair.append((oid, obj))
 
-    edges = []
-    for pid, (x, y, z) in enumerate(coords[: len(points)]):
-        for (cx, cy, cz), by_target in centred.items():
-            dx, dy, dz = x - cx, y - cy, z - cz
-            hit = by_target.get(dx * dx + dy * dy + dz * dz)
-            if hit:
-                edges.extend(
-                    (pid, oid) for n, oid in hit
-                    if n is None or n[0] * dx + n[1] * dy + n[2] * dz == 0
-                )
+    point_coords = coords[: len(points)]
+    edges = _centred_edges(point_coords, centred)
+    for pid, (x, y, z) in enumerate(point_coords):
         for (a, b, c), by_target in planes.items():
             hit = by_target.get(-(a * x + b * y + c * z))
             if hit:
@@ -452,16 +478,12 @@ def common_sphere(c1: Circle, c2: Circle) -> Optional[Sphere]:
     return None if key is None else _key_sphere(key, den, scale)
 
 
-def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[Surface]]:
-    """Max number of the circles lying in one plane or on one sphere.
-
-    Ties go to a plane over a sphere, then to the plane or sphere named
-    first.  Every circle pair is tested in one integer frame
-    (`_circle_frame`, `_sphere_key`).
-    """
-    if not circles:
-        return 0, None
-    frame, den, scale = _circle_frame(circles)
+def _cospherical_max(frame: Sequence[tuple], scale: int) -> tuple[int, int, Optional[tuple]]:
+    """For a nonempty list of framed circles (n, C, W) with scale L: the
+    largest number of them in one plane or on one sphere; the index of the
+    first circle of the first plane holding the most; and the `_sphere_key`
+    of the first sphere holding the most, if it holds more than any plane,
+    else None."""
     # plane (n, n . C) -> [circle count, first circle on it]
     planes: dict[tuple, list[int]] = {}
     for i, (n, c, _) in enumerate(frame):
@@ -480,6 +502,20 @@ def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[S
         count = (1 + math.isqrt(1 + 8 * hits)) // 2
         if count > best:
             best, sphere = count, key
+    return best, first, sphere
+
+
+def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[Surface]]:
+    """Max number of the circles lying in one plane or on one sphere.
+
+    Ties go to a plane over a sphere, then to the plane or sphere named
+    first.  Every circle pair is tested in one integer frame
+    (`_circle_frame`, `_cospherical_max`).
+    """
+    if not circles:
+        return 0, None
+    frame, den, scale = _circle_frame(circles)
+    best, first, sphere = _cospherical_max(frame, scale)
     if sphere is None:
         return best, canonicalize(circles[first].plane())
     return best, _key_sphere(sphere, den, scale)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import oracle
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from inclab import apps, construct, geom
 from inclab.errors import DegenerateShape, ValidationError
@@ -231,12 +231,30 @@ class TestCensus:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(census_cases())
+    # frame scale L > 1, where some circles' W / L is not an integer and the
+    # census skips them: t = 0 and L = 9 over den 3 (a triangle on the
+    # circle of (0, 0, 0), (1, 0, 0)), and t = 1/2 and L = 3 over den 2 (one
+    # 120-degree isosceles triangle)
+    @example((
+        [point(0, 0, 0), point(1, 0, 0), point(0, F(2, 3), 0), point(F(1, 3), F(1, 3), 0),
+         point(0, 0, F(2, 3))],
+        apps.TriangleShape(F(4, 9), F(13, 9)),
+    ))
+    @example((
+        [point(0, 0, 0), point(F(-1, 2), F(-1, 2), 0), point(F(1, 2), 0, F(-1, 2)),
+         point(F(1, 2), 0, 0), point(F(1, 2), F(1, 2), F(1, 2))],
+        apps.TriangleShape(F(1, 3), F(1, 3)),
+    ))
     def test_count_matches_fraction_bruteforce(self, case):
         P, shape = case
         census = apps.similar_triangles_via_incidences(P, shape)
         assert census.count_bruteforce == oracle.similar_triangles_bruteforce(P, shape)
+        expected = oracle.triangle_circles(P, shape)
         assert [(repr(c), m) for c, m in census.circles] == \
-            [(repr(c), m) for c, m in oracle.triangle_circles(P, shape)]
+            [(repr(c), m) for c, m in expected]
+        circles = [c for c, _ in expected]
+        assert census.incidences == len(oracle.incidence_edges(P, circles))
+        assert census.cospherical_coplanar_max == oracle.coplanar_cospherical_max(circles)[0]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(point_sets(min_size=0, max_size=4), st.booleans(), st.sampled_from(SHAPES))
