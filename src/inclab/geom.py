@@ -106,6 +106,8 @@ class Point3:
     z: Fraction
 
     def __post_init__(self):
+        if type(self.x) is type(self.y) is type(self.z) is Fraction:
+            return
         object.__setattr__(self, "x", frac(self.x))
         object.__setattr__(self, "y", frac(self.y))
         object.__setattr__(self, "z", frac(self.z))
@@ -115,7 +117,7 @@ class Point3:
 
 
 def point(x, y, z) -> Point3:
-    return Point3(frac(x), frac(y), frac(z))
+    return Point3(x, y, z)
 
 
 def integer_coords(points: Iterable[Point3]) -> tuple[list[tuple[int, int, int]], int]:
@@ -299,7 +301,7 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "radius2", frac(self.radius2))
-        if self.radius2 <= 0:
+        if self.radius2.numerator <= 0:  # the sign; cheaper than a Fraction comparison
             raise ValidationError("sphere needs radius2 > 0")
 
 
@@ -325,6 +327,8 @@ class Line:
 
     def __post_init__(self):
         object.__setattr__(self, "direction", tuple(frac(c) for c in self.direction))
+        if len(self.direction) != 3:
+            raise ValidationError("line direction needs 3 entries")
         if is_zero_vec(self.direction):
             raise ValidationError("line direction must be nonzero")
 
@@ -338,6 +342,8 @@ class Circle:
     def __post_init__(self):
         object.__setattr__(self, "normal", tuple(frac(c) for c in self.normal))
         object.__setattr__(self, "radius2", frac(self.radius2))
+        if len(self.normal) != 3:
+            raise ValidationError("circle normal needs 3 entries")
         if is_zero_vec(self.normal):
             raise ValidationError("circle normal must be nonzero")
         if self.radius2 <= 0:

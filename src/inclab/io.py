@@ -1,5 +1,17 @@
 """File formats: rational "p/q" strings, points CSV, tagged JSON records
-for surfaces and curves, and atomic writes."""
+for surfaces and curves, and atomic writes.
+
+A rational field is any string that `Fraction(s.strip())` accepts, with the
+same value; everything else is a `ValidationError`.  Reading an instance is
+mostly parsing its rationals, so `parse_rational` builds the common forms,
+a plain ASCII integer or `p/q` with an optional sign, from `int()` directly
+and sends only the rest (decimals, exponents, underscores, non-ASCII
+digits, malformed strings) through `Fraction`'s own parser.  A points or
+objects file repeats few distinct strings (a sphere file repeats each
+centre once per radius), so `points_from_csv` and `objects_from_json` parse
+each distinct string once per call and share the resulting `Fraction`; the
+table lives only for that call.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +19,7 @@ import csv
 import io as _io
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from typing import Sequence
@@ -21,7 +34,6 @@ from .geom import (
     Point3,
     Sphere,
     TriPoly,
-    point,
 )
 
 
@@ -30,11 +42,35 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# the strings whose Fraction is plainly Fraction(int(num), int(den))
+_PLAIN_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(s: str) -> Fraction:
     try:
-        return Fraction(s.strip())
+        text = s.strip()
+        plain = _PLAIN_RATIONAL.fullmatch(text)
+        if plain is None:
+            return Fraction(text)
+        num, den = plain.groups()
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except (AttributeError, ValueError, ZeroDivisionError) as exc:  # AttributeError: not a string
         raise ValidationError(f"bad rational {s!r}") from exc
+
+
+def _interned_parser():
+    """`parse_rational` that returns one shared Fraction per distinct string."""
+    table: dict[str, Fraction] = {}
+
+    def parse(s) -> Fraction:
+        if type(s) is not str:
+            return parse_rational(s)
+        value = table.get(s)
+        if value is None:
+            value = table[s] = parse_rational(s)
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +86,19 @@ def points_to_csv(points: Sequence[Point3]) -> str:
 
 
 def points_from_csv(text: str) -> list[Point3]:
-    reader = csv.reader(_io.StringIO(text))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in csv.reader(_io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise ValidationError(f"bad points CSV: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["x", "y", "z"]:
         raise ValidationError("points CSV must start with header x,y,z")
+    parse = _interned_parser()
     out = []
     for row in rows[1:]:
         if len(row) != 3:
             raise ValidationError(f"points CSV row needs 3 fields, got {row!r}")
-        out.append(point(*(parse_rational(c) for c in row)))
+        x, y, z = row
+        out.append(Point3(parse(x), parse(y), parse(z)))
     return out
 
 
@@ -70,6 +110,10 @@ def tripoly_to_record(f: TriPoly) -> dict:
 
 
 def tripoly_from_record(rec: dict) -> TriPoly:
+    return _tripoly_from_record(rec, parse_rational)
+
+
+def _tripoly_from_record(rec: dict, parse) -> TriPoly:
     if not isinstance(rec, dict):
         raise ValidationError("polynomial record must be a JSON object")
     terms = {}
@@ -78,7 +122,7 @@ def tripoly_from_record(rec: dict) -> TriPoly:
             i, j, k = (int(x) for x in key.split(","))
         except ValueError as exc:
             raise ValidationError(f"bad monomial key {key!r}") from exc
-        terms[(i, j, k)] = parse_rational(val)
+        terms[(i, j, k)] = parse(val)
     return TriPoly(terms)
 
 
@@ -115,27 +159,41 @@ def object_to_record(obj) -> dict:
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
+def _vector(rec: dict, key: str, size: int, parse) -> list[Fraction]:
+    """The record's `key` field: a JSON array of `size` rationals."""
+    value = rec[key]
+    if not isinstance(value, list) or len(value) != size:
+        raise ValidationError(
+            f"{rec['kind']!r} record: {key!r} must be an array of {size} rationals"
+        )
+    return [parse(c) for c in value]
+
+
 def object_from_record(rec: dict):
+    return _object_from_record(rec, parse_rational)
+
+
+def _object_from_record(rec: dict, parse):
     if not isinstance(rec, dict) or "kind" not in rec:
         raise ValidationError("object record needs a 'kind' tag")
     kind = rec["kind"]
     try:
         if kind == "plane":
-            return Plane(*(parse_rational(c) for c in rec["coeffs"]))
+            return Plane(*_vector(rec, "coeffs", 4, parse))
         if kind == "sphere":
-            return Sphere(point(*(parse_rational(c) for c in rec["center"])),
-                          parse_rational(rec["radius2"]))
+            return Sphere(Point3(*_vector(rec, "center", 3, parse)), parse(rec["radius2"]))
         if kind == "implicit":
-            return Implicit(tripoly_from_record(rec["poly"]))
+            return Implicit(_tripoly_from_record(rec["poly"], parse))
         if kind == "line":
-            return Line(point(*(parse_rational(c) for c in rec["origin"])),
-                        tuple(parse_rational(c) for c in rec["direction"]))
+            return Line(Point3(*_vector(rec, "origin", 3, parse)),
+                        tuple(_vector(rec, "direction", 3, parse)))
         if kind == "circle":
-            return Circle(point(*(parse_rational(c) for c in rec["center"])),
-                          tuple(parse_rational(c) for c in rec["normal"]),
-                          parse_rational(rec["radius2"]))
+            return Circle(Point3(*_vector(rec, "center", 3, parse)),
+                          tuple(_vector(rec, "normal", 3, parse)),
+                          parse(rec["radius2"]))
         if kind == "implicit_pair":
-            return ImplicitPair(tripoly_from_record(rec["f"]), tripoly_from_record(rec["g"]))
+            return ImplicitPair(_tripoly_from_record(rec["f"], parse),
+                                _tripoly_from_record(rec["g"], parse))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed {kind!r} record") from exc
     raise ValidationError(f"unknown object kind {kind!r}")
@@ -152,7 +210,8 @@ def objects_from_json(text: str) -> list:
         raise ValidationError(f"bad JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ValidationError("objects file must be a JSON array")
-    return [object_from_record(rec) for rec in data]
+    parse = _interned_parser()
+    return [_object_from_record(rec, parse) for rec in data]
 
 
 def dumps_json(data) -> str:

@@ -12,13 +12,18 @@ are the references of `roots`, `partition.cell_census`,
 `Fraction` similar-triangle brute force and the apex circles found through
 `geom.surface_pair_intersection` are the references of
 `apps.similar_triangles_bruteforce`, `apps.triangle_circles` and the census
-count.
+count.  The parsers that send every string through `Fraction(s.strip())`
+are the references of `io.parse_rational`, `io.points_from_csv` and
+`io.objects_from_json`.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
+import io as _pyio
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,6 +36,8 @@ from inclab.geom import (
     Circle,
     CircleCurve,
     Curve,
+    Implicit,
+    ImplicitPair,
     Line,
     LineCurve,
     Plane,
@@ -43,6 +50,7 @@ from inclab.geom import (
     dist2,
     is_zero_vec,
     norm2,
+    point,
     point_on_curve,
     point_on_surface,
     surface_pair_intersection,
@@ -536,3 +544,78 @@ def triangle_circles(
             gamma = canonicalize(locus.circle)
             mult[gamma] = mult.get(gamma, 0) + 1
     return sorted(mult.items(), key=lambda item: repr(item[0]))
+
+
+# ---------------------------------------------------------------------------
+# file parsers with one Fraction(str) per field
+
+
+def parse_rational(s: str) -> Fraction:
+    try:
+        return Fraction(s.strip())
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:  # AttributeError: not a string
+        raise ValidationError(f"bad rational {s!r}") from exc
+
+
+def points_from_csv(text: str) -> list[Point3]:
+    reader = csv.reader(_pyio.StringIO(text))
+    rows = [row for row in reader if row]
+    if not rows or [c.strip() for c in rows[0]] != ["x", "y", "z"]:
+        raise ValidationError("points CSV must start with header x,y,z")
+    out = []
+    for row in rows[1:]:
+        if len(row) != 3:
+            raise ValidationError(f"points CSV row needs 3 fields, got {row!r}")
+        out.append(point(*(parse_rational(c) for c in row)))
+    return out
+
+
+def tripoly_from_record(rec: dict) -> TriPoly:
+    if not isinstance(rec, dict):
+        raise ValidationError("polynomial record must be a JSON object")
+    terms = {}
+    for key, val in rec.items():
+        try:
+            i, j, k = (int(x) for x in key.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"bad monomial key {key!r}") from exc
+        terms[(i, j, k)] = parse_rational(val)
+    return TriPoly(terms)
+
+
+def object_from_record(rec: dict):
+    """Reads any iterable as a coordinate field, unlike `io`, which asks
+    for an array of the right length."""
+    if not isinstance(rec, dict) or "kind" not in rec:
+        raise ValidationError("object record needs a 'kind' tag")
+    kind = rec["kind"]
+    try:
+        if kind == "plane":
+            return Plane(*(parse_rational(c) for c in rec["coeffs"]))
+        if kind == "sphere":
+            return Sphere(point(*(parse_rational(c) for c in rec["center"])),
+                          parse_rational(rec["radius2"]))
+        if kind == "implicit":
+            return Implicit(tripoly_from_record(rec["poly"]))
+        if kind == "line":
+            return Line(point(*(parse_rational(c) for c in rec["origin"])),
+                        tuple(parse_rational(c) for c in rec["direction"]))
+        if kind == "circle":
+            return Circle(point(*(parse_rational(c) for c in rec["center"])),
+                          tuple(parse_rational(c) for c in rec["normal"]),
+                          parse_rational(rec["radius2"]))
+        if kind == "implicit_pair":
+            return ImplicitPair(tripoly_from_record(rec["f"]), tripoly_from_record(rec["g"]))
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed {kind!r} record") from exc
+    raise ValidationError(f"unknown object kind {kind!r}")
+
+
+def objects_from_json(text: str) -> list:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise ValidationError("objects file must be a JSON array")
+    return [object_from_record(rec) for rec in data]

@@ -1,11 +1,30 @@
+import csv
+import io as _pyio
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from inclab import cli, construct, io
 from inclab.errors import ValidationError
 from inclab.geom import Circle, ImplicitPair, Line, Plane, Point3, Sphere, TriPoly, point
+
+
+# coordinate fields that are not a JSON array of the right length
+MALFORMED_RECORDS = [
+    {"kind": "sphere", "center": "123", "radius2": "1"},
+    {"kind": "sphere", "center": {"1": 0, "2": 0, "3": 0}, "radius2": "1"},
+    {"kind": "sphere", "center": ["1", "2"], "radius2": "1"},
+    {"kind": "line", "origin": ["0", "0", "0"], "direction": ["1", "0"]},
+    {"kind": "line", "origin": "000", "direction": ["1", "0", "0"]},
+    {"kind": "circle", "center": ["0", "0", "0"], "normal": ["0", "0", "1", "0"], "radius2": "1"},
+    {"kind": "circle", "center": ["0", "0", "0"], "normal": "001", "radius2": "1"},
+    {"kind": "plane", "coeffs": "1234"},
+    {"kind": "plane", "coeffs": ["1", "2", "3"]},
+]
 
 
 class TestRationalFormat:
@@ -28,6 +47,10 @@ class TestPointsCsv:
     def test_header_required(self):
         with pytest.raises(ValidationError):
             io.points_from_csv("1,2,3\n")
+
+    def test_field_over_csv_limit(self):
+        with pytest.raises(ValidationError):
+            io.points_from_csv("x,y,z\n" + "1" * 200_000 + ",0,0\n")
 
     def test_deterministic(self):
         pts = construct.gen_random_on_variety("sphere", 8, seed=1).points
@@ -61,14 +84,140 @@ class TestObjectRecords:
         with pytest.raises(ValidationError):
             io.object_from_record({"kind": "implicit", "poly": ["1"]})
 
+    @pytest.mark.parametrize("record", MALFORMED_RECORDS)
+    def test_malformed_coordinate_fields(self, record):
+        with pytest.raises(ValidationError):
+            io.object_from_record(record)
+        with pytest.raises(ValidationError):
+            io.objects_from_json(json.dumps([record]))
+
+    def test_wrong_length_vectors_in_geom(self):
+        with pytest.raises(ValidationError):
+            Line(point(0, 0, 0), (F(1), F(0)))
+        with pytest.raises(ValidationError):
+            Circle(point(0, 0, 0), (F(0), F(0), F(1), F(0)), F(1))
+
     def test_bad_json(self):
         with pytest.raises(ValidationError):
             io.objects_from_json("{not json")
 
 
+# strings near the edge of `Fraction(s.strip())`'s syntax
+_PIECES = ["0", "1", "7", "12", "007", "-", "+", "/", ".", "e", "E", "_", " ", "\t", "\n",
+           "\x1c", "\u00a0", "\u3000", "\u0663", "\u096a", "\u00b2", "x", "inf", "nan"]
+rational_strings = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=8).map("".join),
+    st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "-", "+"]),
+        st.integers(0, 10**30).map(str),
+        st.one_of(st.just(""), st.integers(0, 10**6).map("/{}".format)),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+    st.text(max_size=6),
+)
+json_values = st.one_of(
+    rational_strings, st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.lists(st.just("1"), max_size=3), st.dictionaries(st.just("1"), st.just("1")),
+)
+# mostly values that parse, so that most whole files parse
+field_strings = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.fractions(max_denominator=9).map(str),
+    st.sampled_from(["1.5", "-2e1", "1_0", " 3 ", "+4/6", "\u0663", "1e-2", "0/7", "3 / 4", "1/0"]),
+)
+radius_strings = st.fractions(min_value=F(1, 9), max_value=20, max_denominator=9).map(str)
+
+
+def _outcome(parse, *args):
+    """The parsed value, or ValidationError if the parser rejects it."""
+    try:
+        return parse(*args)
+    except ValidationError:
+        return ValidationError
+
+
+def _vec(n):
+    return st.lists(field_strings, min_size=n, max_size=n)
+
+
+def _poly():
+    keys = st.tuples(*[st.integers(0, 2)] * 3).map(lambda m: "%d,%d,%d" % m)
+    return st.dictionaries(keys, field_strings, max_size=3)
+
+
+object_records = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("plane"), "coeffs": _vec(4)}),
+    st.fixed_dictionaries({"kind": st.just("sphere"), "center": _vec(3), "radius2": radius_strings}),
+    st.fixed_dictionaries({"kind": st.just("implicit"), "poly": _poly()}),
+    st.fixed_dictionaries({"kind": st.just("line"), "origin": _vec(3), "direction": _vec(3)}),
+    st.fixed_dictionaries({"kind": st.just("circle"), "center": _vec(3), "normal": _vec(3),
+                           "radius2": radius_strings}),
+    st.fixed_dictionaries({"kind": st.just("implicit_pair"), "f": _poly(), "g": _poly()}),
+)
+
+
+class TestParserDifferential:
+    """`io`'s integer fast path and per-file interning against the parsers
+    that send every field through `Fraction(s.strip())`."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(json_values)
+    @example("3 / 4")
+    @example("-3/-4")
+    @example("+-3")
+    @example("1_000")
+    @example("\u0661\u0662")
+    @example("1/0")
+    @example("1/000")
+    @example(" -0/5 ")
+    @example("3/04")
+    @example("")
+    @example(3)
+    @example(None)
+    def test_parse_rational(self, s):
+        got = _outcome(io.parse_rational, s)
+        assert got == _outcome(oracle.parse_rational, s)
+        assert got is ValidationError or type(got) is F
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(field_strings, field_strings, field_strings), max_size=8))
+    @example([(" 7 ", "\u3000-3/4\n", "\x1c12"), ("7", "\r", "-3/4")])
+    def test_points_csv(self, rows):
+        buf = _pyio.StringIO()
+        # "\r\n" makes the writer quote a field holding a bare "\r"
+        csv.writer(buf, lineterminator="\r\n").writerows([("x", "y", "z"), *rows])
+        text = buf.getvalue()
+        assert _outcome(io.points_from_csv, text) == _outcome(oracle.points_from_csv, text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(object_records, max_size=6))
+    def test_objects_json(self, records):
+        text = json.dumps(records)
+        assert _outcome(io.objects_from_json, text) == _outcome(oracle.objects_from_json, text)
+
+    def test_generated_instances(self, tmp_path):
+        prefix = str(tmp_path / "ds")
+        assert cli.main(["generate", "elekes", "--k", "3", "--out-prefix", prefix]) == 0
+        points = (tmp_path / "ds.points.csv").read_text()
+        objects = (tmp_path / "ds.objects.json").read_text()
+        assert io.points_from_csv(points) == oracle.points_from_csv(points)
+        assert io.objects_from_json(objects) == oracle.objects_from_json(objects)
+
+
 class TestCli:
     def run(self, *argv):
         return cli.main(list(argv))
+
+    @pytest.mark.parametrize("record", MALFORMED_RECORDS)
+    def test_count_rejects_malformed_record(self, tmp_path, capsys, record):
+        ppath, opath = tmp_path / "p.csv", tmp_path / "o.json"
+        ppath.write_text(io.points_to_csv([point(0, 0, 0), point(1, 2, 3)]))
+        opath.write_text(json.dumps([record]))
+        assert self.run("count", "--points", str(ppath), "--objects", str(opath)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
 
     def test_generate_and_count(self, tmp_path, capsys):
         prefix = str(tmp_path / "e2")
