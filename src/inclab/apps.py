@@ -18,18 +18,22 @@ gives it the integer frame row (n, C, W) of `engine._circle_frame`, with
 one scale L for the whole shape (`_apex_circles`).  The incidences and the
 coplanar/cospherical maximum are computed on that frame
 (`engine._centred_edges`, `engine._cospherical_max`); a circle whose W / L
-is not an integer holds no point and is skipped.  `Circle` objects are
-built only as witnesses for the output.  Each incidence (r, circle of
-(p, q)) gives the triangle {p, q, r}, so the triangles are counted from
+is not an integer holds no point and is skipped.  The circle count and the
+multiplicities are read off the same integer table.  `Circle` witnesses are
+built on first access of `TriangleCensus.circles`, so `inclab triangles`,
+which reports only those numbers, builds none.  Each incidence (r, circle
+of (p, q)) gives the triangle {p, q, r}, so the triangles are counted from
 the incidences, not by a search over all triples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import engine, geom
 from .errors import DegenerateShape, ValidationError
@@ -104,13 +108,24 @@ class TriangleShape:
 class TriangleCensus:
     """`count_bruteforce` is the number of similar triangles.  It is counted
     from the incidences and equals `similar_triangles_bruteforce`; the name
-    is the CLI output key."""
+    is the CLI output key.  `multiplicities` holds one entry per apex
+    circle, the number of ordered pairs producing it, in no set order.
+
+    `circles` lists the circles with their multiplicities, sorted by repr.
+    Its `Circle` witnesses are built on first access, from the integer
+    table the census was counted on; `inclab triangles` reads only the
+    multiplicities and builds none."""
 
     count_bruteforce: int
-    circles: list[tuple[Circle, int]]
+    multiplicities: list[int]
     incidences: int
     cospherical_coplanar_max: int
-    flags: list[str] = field(default_factory=list)
+    flags: list[str]
+    _apex: _ApexTable = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def circles(self) -> list[tuple[Circle, int]]:
+        return _circle_witnesses(self._apex)
 
 
 def shape_from_points(a: Point3, b: Point3, c: Point3) -> TriangleShape:
@@ -158,14 +173,23 @@ def similar_triangles_bruteforce(P: Sequence[Point3], shape: TriangleShape) -> i
     return count
 
 
-def _apex_circles(
-    P: Sequence[Point3], shape: TriangleShape
-) -> tuple[list[tuple[Circle, list[tuple[int, int]], tuple]], list[tuple[int, int, int]], int]:
-    """Apex circles over all ordered pairs of P in one integer frame.
+class _ApexTable(NamedTuple):
+    """The apex circles of all ordered pairs of P in one integer frame.
 
-    Returns the circles, deduplicated and sorted by repr, each with the
-    ordered index pairs (i, j) producing it and its frame row (n, C, W);
-    the points of P in the frame; and the frame's scale L.
+    `pairs` maps a circle's key (C, n, |Q - P|^2) to the ordered index
+    pairs (i, j) producing it; the circle has centre C / den, normal n and
+    squared radius w |Q - P|^2 / (L den^2).  `points` is P in the frame and
+    L is its `scale`."""
+
+    pairs: dict[tuple, list[tuple[int, int]]]
+    points: list[tuple[int, int, int]]
+    w: int
+    scale: int
+    den: int
+
+
+def _apex_circles(P: Sequence[Point3], shape: TriangleShape) -> _ApexTable:
+    """Apex circles over all ordered pairs of P in one integer frame.
 
     For integer points P, Q over the common denominator den, t = tn / td
     and den' = td den, the circle of (P, Q) has centre C / den' with
@@ -190,28 +214,42 @@ def _apex_circles(
         for j in range(i + 1, len(coords)):
             qx, qy, qz = coords[j]
             dx, dy, dz = qx - px, qy - py, qz - pz
-            normal = geom.primitive_vector((dx, dy, dz))
+            # primitive form, first nonzero entry positive; P != Q, so g != 0
+            g = math.gcd(dx, dy, dz)
+            if dx < 0 or not dx and (dy < 0 or not dy and dz < 0):
+                g = -g
+            normal = (dx // g, dy // g, dz // g)
             d2 = dx * dx + dy * dy + dz * dz
             centre = (td * px + tn * dx, td * py + tn * dy, td * pz + tn * dz)
             pairs.setdefault((centre, normal, d2), []).append((i, j))
             centre = (td * qx - tn * dx, td * qy - tn * dy, td * qz - tn * dz)
             pairs.setdefault((centre, normal, d2), []).append((j, i))
-    frame_den = td * den
-    radius_factor = width / (frame_den * frame_den)
+    return _ApexTable(
+        pairs,
+        [(td * x, td * y, td * z) for x, y, z in coords],
+        width.numerator,
+        width.denominator,
+        td * den,
+    )
+
+
+def _circle_witnesses(apex: _ApexTable) -> list[tuple[Circle, int]]:
+    """The table's circles as (`Circle`, multiplicity), sorted by repr."""
+    den = apex.den
+    radius_factor = Fraction(apex.w, apex.scale * den * den)
     circles = [
         (
             Circle(
-                Point3(Fraction(cx, frame_den), Fraction(cy, frame_den), Fraction(cz, frame_den)),
+                Point3(Fraction(cx, den), Fraction(cy, den), Fraction(cz, den)),
                 normal,
                 radius_factor * d2,
             ),
-            ij,
-            (normal, (cx, cy, cz), width.numerator * d2),
+            len(ij),
         )
-        for ((cx, cy, cz), normal, d2), ij in pairs.items()
+        for ((cx, cy, cz), normal, d2), ij in apex.pairs.items()
     ]
     circles.sort(key=lambda item: repr(item[0]))
-    return circles, [(td * x, td * y, td * z) for x, y, z in coords], width.denominator
+    return circles
 
 
 def triangle_circles(
@@ -219,38 +257,39 @@ def triangle_circles(
 ) -> list[tuple[Circle, int]]:
     """Apex-locus circles over all ordered pairs of P, deduplicated, each
     with the number of ordered pairs producing it."""
-    return [(circle, len(ij)) for circle, ij, _ in _apex_circles(P, shape)[0]]
+    return _circle_witnesses(_apex_circles(P, shape))
 
 
 def similar_triangles_via_incidences(
     P: Sequence[Point3], shape: TriangleShape
 ) -> TriangleCensus:
-    """Full census: circles with multiplicities, I(P, circles), the triangle
-    count read off the incidences, and the coplanar/cospherical maximum; the
+    """Full census: circle multiplicities, I(P, circles), the triangle count
+    read off the incidences, and the coplanar/cospherical maximum; the
     paper-shaped inequalities are recorded as flags rather than hard
     failures."""
-    apex, points, scale = _apex_circles(P, shape)
+    apex = _apex_circles(P, shape)
     if len(P) < 3:
         raise ValidationError("need at least three points")
-    frame = [row for _, _, row in apex]
+    producers = list(apex.pairs.values())
+    frame = [(normal, centre, apex.w * d2) for centre, normal, d2 in apex.pairs]
     # centre -> W / L -> [(normal, circle id)]; a circle whose W / L is not
     # an integer holds no point of the frame and is not stored
     centred: dict[tuple, dict[int, list]] = {}
     for cid, (normal, centre, w) in enumerate(frame):
-        if w % scale == 0:
-            centred.setdefault(centre, {}).setdefault(w // scale, []).append((normal, cid))
-    edges = engine._centred_edges(points, centred)
+        if w % apex.scale == 0:
+            centred.setdefault(centre, {}).setdefault(w // apex.scale, []).append((normal, cid))
+    edges = engine._centred_edges(apex.points, centred)
     incidences = len(edges)
     # r on the circle of (i, j) makes {i, j, r} similar to the shape; r is
     # neither i nor j, since |ir|^2 = rho1 |ij|^2 > 0
-    count = len({frozenset((i, j, r)) for r, cid in edges for i, j in apex[cid][1]})
-    q_max = engine._cospherical_max(frame, scale)[0]
-    circles = [(circle, len(ij)) for circle, ij, _ in apex]
+    count = len({frozenset((i, j, r)) for r, cid in edges for i, j in producers[cid]})
+    q_max = engine._cospherical_max(frame, apex.scale)[0]
+    multiplicities = [len(ij) for ij in producers]
     flags = []
-    if any(m > 2 for _, m in circles):
+    if max(multiplicities) > 2:
         flags.append("ordered-pair multiplicity exceeds 2")
     if 3 * count > 2 * incidences:
         flags.append("triangle count exceeds two thirds of the incidence count")
     if q_max > 2 * len(P):
         flags.append("coplanar/cospherical circle count exceeds 2n")
-    return TriangleCensus(count, circles, incidences, q_max, flags)
+    return TriangleCensus(count, multiplicities, incidences, q_max, flags, apex)

@@ -57,11 +57,9 @@ def _cmd_generate(args) -> int:
     if kind == "elekes":
         inst = construct.gen_elekes_grid(args.k)
     elif kind == "paraboloid":
-        lines = [tuple(io.parse_rational(c) for c in pair.split(":")) for pair in args.lines]
-        witnesses = [
-            tuple(io.parse_rational(c) for c in w.split(":")) for w in (args.witness or [])
-        ]
-        pts = [tuple(io.parse_rational(c) for c in p.split(":")) for p in (args.point or [])]
+        lines = _colon_tuples("--lines", args.lines, 2)
+        witnesses = _colon_tuples("--witness", args.witness or [], 3)
+        pts = _colon_tuples("--point", args.point or [], 2)
         inst = construct.gen_paraboloid_lift(lines, witnesses, pts)
     elif kind == "packing":
         objects = _load_objects(args.objects)
@@ -89,6 +87,17 @@ def _cmd_generate(args) -> int:
         raise ValidationError(f"unknown generator {kind!r}")
     _write_instance(inst, args.out_prefix)
     return 0
+
+
+def _colon_tuples(flag: str, entries, arity: int) -> list[tuple]:
+    """Each colon-separated entry of a flag as a tuple of `arity` rationals."""
+    tuples = []
+    for entry in entries:
+        fields = entry.split(":")
+        if len(fields) != arity:
+            raise ValidationError(f"{flag} entry {entry!r} needs {arity} colon-separated fields")
+        tuples.append(tuple(io.parse_rational(c) for c in fields))
+    return tuples
 
 
 def _is_surface(obj) -> bool:
@@ -165,8 +174,8 @@ def _cmd_triangles(args) -> int:
     _emit(args, {
         "count_bruteforce": census.count_bruteforce,
         "incidences": census.incidences,
-        "circles": len(census.circles),
-        "max_circle_multiplicity": max((m for _, m in census.circles), default=0),
+        "circles": len(census.multiplicities),
+        "max_circle_multiplicity": max(census.multiplicities, default=0),
         "cospherical_coplanar_max": census.cospherical_coplanar_max,
         "flags": census.flags,
     })

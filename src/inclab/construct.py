@@ -187,7 +187,11 @@ def gen_random_on_variety(
     if which == "sphere":
         if center is None:
             center = point(0, 0, 0)
-        r = rational_sqrt(frac(radius2))
+        radius2 = frac(radius2)
+        # a zero radius puts every draw on the centre, so n > 1 is never reached
+        if radius2 <= 0:
+            raise ValidationError("sphere radius2 must be > 0")
+        r = rational_sqrt(radius2)
         if r is None:
             raise ValidationError("sphere radius2 must be a rational square")
         cx, cy, cz = center.as_tuple()

@@ -250,6 +250,10 @@ class TestCensus:
         census = apps.similar_triangles_via_incidences(P, shape)
         assert census.count_bruteforce == oracle.similar_triangles_bruteforce(P, shape)
         expected = oracle.triangle_circles(P, shape)
+        # the integer table's numbers, before any witness is built
+        assert "circles" not in vars(census)
+        assert len(census.multiplicities) == len(expected)
+        assert sorted(census.multiplicities) == sorted(m for _, m in expected)
         assert [(repr(c), m) for c, m in census.circles] == \
             [(repr(c), m) for c, m in expected]
         circles = [c for c, _ in expected]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from inclab import cli, construct, io
+from inclab import apps, cli, construct, io
 from inclab.errors import ValidationError
 from inclab.geom import Circle, ImplicitPair, Line, Plane, Point3, Sphere, TriPoly, point
 
@@ -346,6 +346,45 @@ class TestCli:
         assert self.run("triangles", "--points", str(ppath), "--shape", "1,2") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count_bruteforce"] == 4 and payload["flags"] == []
+
+    def test_triangles_builds_no_witnesses(self, tmp_path, capsys, monkeypatch):
+        # t = -1: the pairs (0, 1) and (-2, -3) share an apex circle
+        pts = [point(0, 0, 0), point(1, 0, 0), point(-2, 0, 0), point(-3, 0, 0), point(-1, 1, 0)]
+        ppath = tmp_path / "line.csv"
+        ppath.write_text(io.points_to_csv(pts))
+        argv = ("triangles", "--points", str(ppath), "--shape", "2,5")
+        assert self.run(*argv) == 0
+        expected = capsys.readouterr().out
+        payload = json.loads(expected)
+        assert payload["circles"] > 0 and payload["max_circle_multiplicity"] == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("witness built")
+
+        monkeypatch.setattr(apps, "triangle_circles", refuse)
+        monkeypatch.setattr(apps, "Circle", refuse)
+        assert self.run(*argv) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("flag, entries", [
+        ("--lines", ["--lines", "1"]),
+        ("--point", ["--lines", "1:0", "--point", "1:2:3"]),
+        ("--witness", ["--lines", "1:0", "--witness", "1:2"]),
+    ])
+    def test_generate_paraboloid_rejects_bad_arity(self, tmp_path, capsys, flag, entries):
+        argv = ["generate", "paraboloid", *entries, "--out-prefix", str(tmp_path / "pl")]
+        assert self.run(*argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and flag in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_generate_sphere_zero_radius(self, tmp_path, capsys):
+        assert self.run(
+            "generate", "variety", "--variety", "sphere", "--n", "3", "--radius2", "0",
+            "--out-prefix", str(tmp_path / "z"),
+        ) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "radius2" in err["message"]
 
     def test_distances_modes(self, tmp_path, capsys):
         pts = [point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(1, 1, 0)]

@@ -93,6 +93,11 @@ class TestVarietyPoints:
         with pytest.raises(ValidationError):
             construct.gen_random_on_variety("sphere", 5, seed=0, radius2=2)
 
+    def test_sphere_zero_radius_rejected(self):
+        # every stereographic draw would be the centre: no second point exists
+        with pytest.raises(ValidationError, match="> 0"):
+            construct.gen_random_on_variety("sphere", 3, 0, radius2=0)
+
     def test_paraboloid_membership(self):
         inst = construct.gen_random_on_variety("paraboloid", 40, seed=3)
         for p in inst.points:
