@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation error, 2 search-budget failure.  Errors
-are emitted as one-line JSON records on stderr.  All data files use the
-exact rational formats from the io module; output writes are atomic.
+Exit codes: 0 success (also for `--help`), 1 validation or usage error, 2
+search-budget failure.  Errors are emitted as one-line JSON records on
+stderr.  All data files use the exact rational formats from the io module;
+output writes are atomic.
 """
 
 from __future__ import annotations
@@ -240,14 +241,21 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are `ValidationError`s (exit 1
+    with a JSON record), not argparse's exit 2, which is the code for an
+    exhausted search budget.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: `parse_args` keeps no
     state between calls, and building it costs about as much as a small
     op."""
-    parser = argparse.ArgumentParser(
-        prog="inclab", description="exact incidence-geometry laboratory"
-    )
+    parser = _Parser(prog="inclab", description="exact incidence-geometry laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate an instance")
@@ -345,8 +353,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except ValidationError as exc:
         sys.stderr.write(json.dumps({"error": "validation", "message": str(exc)}) + "\n")

@@ -3,12 +3,19 @@ K_{r,s} detection, and generic projection to the plane.
 
 Counting, decomposition and the projection check find point-object
 incidences through one integer core, `_incidence_edges`: coordinates are
-cleared of denominators once, and planes, spheres, lines and circles are
-bucketed by a shape key, so each point is looked up in the buckets rather
-than tested against every object.  Only implicit surfaces and curves are
-tested per pair, with the exact `Fraction` predicates.  Spheres and
-circles are matched by one routine, `_centred_edges`, over buckets keyed
-by integer centre and scaled squared radius.
+cleared of denominators once, each distinct anchor object once through an
+identity table that lives for the call, and planes, spheres, lines and
+circles are bucketed by a shape key, so each point is looked up in the
+buckets rather than tested against every object.  Only implicit surfaces
+and curves are tested per pair, with the exact `Fraction` predicates.
+Spheres and circles are matched by one routine, `_centred_edges`, over
+buckets keyed by integer centre and integer target (the scaled squared
+radius, computed in ints); a target shared by many centres is matched by
+probing its integer shell around each centre instead of scanning every
+point-centre pair.
+
+`contains_krs` counts, for each r-subset of an object's incident points,
+the objects holding it, instead of intersecting every s objects.
 
 `coplanar_cospherical_max` and `common_sphere` share one integer kernel,
 `_sphere_key`: circles are put in one frame of rows (n, C, W) with a scale
@@ -65,6 +72,51 @@ class IncidenceGraph:
     edges: frozenset[tuple[int, int]]
 
 
+def _integer_shell(t: int) -> list[tuple[int, int, int]]:
+    """Every integer vector v with |v|^2 = t, for t >= 0.
+
+    x and y run over the quarter disc x^2 + y^2 <= t (about pi t / 4 steps)
+    and z is read off by `math.isqrt`; each hit is emitted with every sign
+    of its nonzero entries.
+    """
+    shell = []
+    for x in range(math.isqrt(t) + 1):
+        rest = t - x * x
+        for y in range(math.isqrt(rest) + 1):
+            zz = rest - y * y
+            z = math.isqrt(zz)
+            if z * z == zz:
+                shell.extend(
+                    (sx, sy, sz)
+                    for sx in ((x, -x) if x else (0,))
+                    for sy in ((y, -y) if y else (0,))
+                    for sz in ((z, -z) if z else (0,))
+                )
+    return shell
+
+
+def _probed_shells(centred: dict[tuple, dict[int, list]], n: int) -> dict[int, list[tuple]]:
+    """The targets of `_centred_edges`' buckets that are cheaper to probe
+    than to scan against n points, each with its integer shell S.
+
+    A target T held by k centres qualifies when listing S (about pi T / 4
+    steps) is cheaper than scanning its k n point-centre pairs,
+    4 T + 8 < k n, and looking S up around a centre is cheaper than
+    scanning the points for it, |S| < n.
+    """
+    holders: dict[int, int] = {}
+    for by_target in centred.values():
+        for t in by_target:
+            holders[t] = holders.get(t, 0) + 1
+    shells = {}
+    for t, k in holders.items():
+        if 0 <= t and 4 * t + 8 < k * n:
+            shell = _integer_shell(t)
+            if len(shell) < n:
+                shells[t] = shell
+    return shells
+
+
 def _centred_edges(
     points: Sequence[tuple[int, int, int]],
     centred: dict[tuple, dict[int, list[tuple[Optional[tuple], int]]]],
@@ -76,8 +128,42 @@ def _centred_edges(
     [(primitive normal n of a circle, or None for a sphere, object id)]
     with that centre and T.  A point P is on the object when
     |P - C|^2 = T and, for a circle, n . (P - C) = 0.
+
+    Each target T is matched one of two ways, never both, so no edge is
+    emitted twice.  A T that is cheaper to probe than to scan
+    (`_probed_shells`) has its integer shell S = {v : |v|^2 = T} listed
+    once, and each C + v is looked up among the points.  Every other T is
+    scanned: each point P looks up |P - C|^2 in each centre's remaining
+    targets.  Unit spheres around 40 or more points share one small T, so
+    they are probed; distance spheres have large, mostly distinct T, and
+    the similar-triangle census has few points, so they are mostly
+    scanned.
     """
+    shells = _probed_shells(centred, len(points))
     edges = []
+    if shells:
+        at: dict[tuple, list[int]] = {}
+        for pid, p in enumerate(points):
+            at.setdefault(p, []).append(pid)
+        scanned = {}
+        for (cx, cy, cz), by_target in centred.items():
+            rest = {}
+            for t, hit in by_target.items():
+                shell = shells.get(t)
+                if shell is None:
+                    rest[t] = hit
+                    continue
+                for dx, dy, dz in shell:
+                    pids = at.get((cx + dx, cy + dy, cz + dz))
+                    if pids:
+                        edges.extend(
+                            (pid, oid) for n, oid in hit
+                            if n is None or n[0] * dx + n[1] * dy + n[2] * dz == 0
+                            for pid in pids
+                        )
+            if rest:
+                scanned[(cx, cy, cz)] = rest
+        centred = scanned
     for pid, (x, y, z) in enumerate(points):
         for (cx, cy, cz), by_target in centred.items():
             dx, dy, dz = x - cx, y - cy, z - cz
@@ -95,27 +181,36 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
 
     Points and the objects' anchor points are cleared of denominators once
     (`geom.integer_coords`), so planes, spheres, lines and circles are
-    matched in Python ints.  Each of them is stored in a bucket under a
-    shape key, and a point looks up the value it takes under each key
-    instead of being tested against every object:
+    matched in Python ints.  Anchors are keyed by identity in a table that
+    lives only for the call: a parsed file shares one `Point3` per repeated
+    centre (`io.objects_from_json`), so a distance-sphere file clears each
+    centre once, not once per radius.  Each object is stored in a bucket
+    under a shape key, and a point looks up the value it takes under each
+    key instead of being tested against every object:
 
-    - sphere or circle: integer centre C; |P - C|^2 against den^2 r^2,
-      then n . (P - C) = 0 for the circles found (`_centred_edges`);
+    - sphere or circle: integer centre C; |P - C|^2 against the integer
+      target den^2 r^2, computed as divmod(den^2 num(r^2), den(r^2)); then
+      n . (P - C) = 0 for the circles found (`_centred_edges`, which probes
+      the integer shell of a small shared target instead of scanning);
     - plane: (a, b, c) of the primitive form (a, b, c, d) of its
       coefficients; -(a, b, c) . P against den d, always an integer, so no
       plane is skipped;
     - line: primitive direction v; P x v against the moment O x v.
 
-    A sphere or circle whose den^2 r^2 is not an integer holds no point and
-    is not stored.  Implicit surfaces and curves have no shape key and are
-    tested per pair with the exact predicates.
+    A sphere or circle whose target has a nonzero remainder holds no point
+    and is not stored.  Implicit surfaces and curves have no shape key and
+    are tested per pair with the exact predicates.
     """
-    anchors = {
-        oid: obj.origin if isinstance(obj, Line) else obj.center
-        for oid, obj in enumerate(objects) if isinstance(obj, (Sphere, Line, Circle))
-    }
+    # id(anchor) -> anchor, one entry per distinct anchor object
+    anchors: dict[int, Point3] = {}
+    for obj in objects:
+        if isinstance(obj, (Sphere, Circle)):
+            anchors.setdefault(id(obj.center), obj.center)
+        elif isinstance(obj, Line):
+            anchors.setdefault(id(obj.origin), obj.origin)
     coords, den = geom.integer_coords([*points, *anchors.values()])
     anchor_of = dict(zip(anchors, coords[len(points):]))
+    den2 = den * den
     # centre -> den^2 r^2 -> [(circle normal, or None for a sphere, oid)]
     centred: dict[tuple, dict[int, list[tuple[Optional[tuple], int]]]] = {}
     planes: dict[tuple, dict[int, list[int]]] = {}
@@ -123,11 +218,12 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
     per_pair = []
     for oid, obj in enumerate(objects):
         if isinstance(obj, (Sphere, Circle)):
-            target = den * den * obj.radius2
-            if target.denominator != 1:
+            r2 = obj.radius2
+            target, rest = divmod(den2 * r2.numerator, r2.denominator)
+            if rest:
                 continue
             normal = primitive_vector(obj.normal) if isinstance(obj, Circle) else None
-            centred.setdefault(anchor_of[oid], {}).setdefault(target.numerator, []).append(
+            centred.setdefault(anchor_of[id(obj.center)], {}).setdefault(target, []).append(
                 (normal, oid)
             )
         elif isinstance(obj, Plane):
@@ -135,7 +231,7 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
             planes.setdefault((a, b, c), {}).setdefault(den * d, []).append(oid)
         elif isinstance(obj, Line):
             vx, vy, vz = direction = primitive_vector(obj.direction)
-            ox, oy, oz = anchor_of[oid]
+            ox, oy, oz = anchor_of[id(obj.origin)]
             moment = (oy * vz - oz * vy, oz * vx - ox * vz, ox * vy - oy * vx)
             lines.setdefault(direction, {}).setdefault(moment, []).append(oid)
         else:
@@ -249,19 +345,25 @@ def rich_points(curves: Sequence[Curve], r: int) -> list[tuple[Point3, int]]:
 # K_{r,s} detection
 
 def contains_krs(graph: IncidenceGraph, r: int, s: int) -> bool:
-    """True iff some r points and s objects are pairwise all-incident."""
+    """True iff some r points and s objects are pairwise all-incident.
+
+    Each object adds one to the count of every r-subset of its incident
+    points (sum of C(deg, r) work); the answer is whether some r-subset
+    lies on s objects.
+    """
     if r > 4 or s > 4:
         raise GuardExceeded("contains_krs enumeration guard: r, s <= 4")
     if r < 1 or s < 1:
         raise ValidationError("r and s must be positive")
-    incident_points: dict[int, set[int]] = {o: set() for o in graph.object_ids}
+    incident_points: dict[int, list[int]] = {o: [] for o in graph.object_ids}
     for pid, oid in graph.edges:
-        incident_points[oid].add(pid)
-    candidates = [o for o in graph.object_ids if len(incident_points[o]) >= r]
-    for combo in itertools.combinations(candidates, s):
-        common = set.intersection(*(incident_points[o] for o in combo))
-        if len(common) >= r:
-            return True
+        incident_points[oid].append(pid)
+    objects_on: dict[tuple[int, ...], int] = {}
+    for pids in incident_points.values():
+        for subset in itertools.combinations(sorted(pids), r):
+            count = objects_on[subset] = objects_on.get(subset, 0) + 1
+            if count >= s:
+                return True
     return False
 
 

@@ -9,8 +9,13 @@ and sends only the rest (decimals, exponents, underscores, non-ASCII
 digits, malformed strings) through `Fraction`'s own parser.  A points or
 objects file repeats few distinct strings (a sphere file repeats each
 centre once per radius), so `points_from_csv` and `objects_from_json` parse
-each distinct string once per call and share the resulting `Fraction`; the
-table lives only for that call.
+each distinct string once per call and share the resulting `Fraction`.
+`objects_from_json` also interns vectors: a `center` or `origin` array of
+three strings seen before in the file returns the same `Point3`, built and
+validated once, so `engine._incidence_edges` clears each repeated centre
+once.  Any other array (a wrong length, a non-string entry, a nested array)
+is parsed on every occurrence and raises `ValidationError` every time.  The
+tables live only for that call.
 """
 
 from __future__ import annotations
@@ -169,11 +174,33 @@ def _vector(rec: dict, key: str, size: int, parse) -> list[Fraction]:
     return [parse(c) for c in value]
 
 
+def _interned_point(parse):
+    """A reader of a record's point field (a JSON array of three rationals)
+    that returns one shared Point3 per distinct array of three strings.
+    Any other value is read through `_vector` on every occurrence, which
+    raises `ValidationError` on it."""
+    table: dict[tuple[str, str, str], Point3] = {}
+
+    def point(rec: dict, key: str) -> Point3:
+        value = rec[key]
+        if type(value) is list and len(value) == 3:
+            x, y, z = value
+            if type(x) is type(y) is type(z) is str:
+                strings = (x, y, z)
+                found = table.get(strings)
+                if found is None:
+                    found = table[strings] = Point3(*_vector(rec, key, 3, parse))
+                return found
+        return Point3(*_vector(rec, key, 3, parse))
+
+    return point
+
+
 def object_from_record(rec: dict):
-    return _object_from_record(rec, parse_rational)
+    return _object_from_record(rec, parse_rational, _interned_point(parse_rational))
 
 
-def _object_from_record(rec: dict, parse):
+def _object_from_record(rec: dict, parse, point):
     if not isinstance(rec, dict) or "kind" not in rec:
         raise ValidationError("object record needs a 'kind' tag")
     kind = rec["kind"]
@@ -181,14 +208,14 @@ def _object_from_record(rec: dict, parse):
         if kind == "plane":
             return Plane(*_vector(rec, "coeffs", 4, parse))
         if kind == "sphere":
-            return Sphere(Point3(*_vector(rec, "center", 3, parse)), parse(rec["radius2"]))
+            return Sphere(point(rec, "center"), parse(rec["radius2"]))
         if kind == "implicit":
             return Implicit(_tripoly_from_record(rec["poly"], parse))
         if kind == "line":
-            return Line(Point3(*_vector(rec, "origin", 3, parse)),
+            return Line(point(rec, "origin"),
                         tuple(_vector(rec, "direction", 3, parse)))
         if kind == "circle":
-            return Circle(Point3(*_vector(rec, "center", 3, parse)),
+            return Circle(point(rec, "center"),
                           tuple(_vector(rec, "normal", 3, parse)),
                           parse(rec["radius2"]))
         if kind == "implicit_pair":
@@ -211,7 +238,8 @@ def objects_from_json(text: str) -> list:
     if not isinstance(data, list):
         raise ValidationError("objects file must be a JSON array")
     parse = _interned_parser()
-    return [_object_from_record(rec, parse) for rec in data]
+    point = _interned_point(parse)
+    return [_object_from_record(rec, parse, point) for rec in data]
 
 
 def dumps_json(data) -> str:

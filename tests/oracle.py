@@ -2,7 +2,8 @@
 partitioner.
 
 These are the all-pairs `Fraction` loops that `engine.count_incidences` and
-`engine.decompose` used before the integer, shape-indexed core, and the
+`engine.decompose` used before the integer, shape-indexed core, the
+object-combination loop of `engine.contains_krs`, and the
 `Fraction` `common_sphere` and `coplanar_cospherical_max` from before the
 integer common-sphere kernel; the differential tests in `test_engine.py`
 compare the engine against them.  The `Fraction` Sturm root isolation, the
@@ -74,6 +75,20 @@ def incidence_edges(points: Sequence[Point3], objects: Sequence) -> frozenset[tu
             if _incident(p, obj):
                 edges.add((pid, oid))
     return frozenset(edges)
+
+
+def contains_krs(graph, r: int, s: int) -> bool:
+    """`engine.contains_krs` by intersecting the point sets of every s
+    objects with at least r points."""
+    incident_points: dict[int, set[int]] = {o: set() for o in graph.object_ids}
+    for pid, oid in graph.edges:
+        incident_points[oid].add(pid)
+    candidates = [o for o in graph.object_ids if len(incident_points[o]) >= r]
+    for combo in itertools.combinations(candidates, s):
+        common = set.intersection(*(incident_points[o] for o in combo))
+        if len(common) >= r:
+            return True
+    return False
 
 
 def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> BipartiteDecomposition:

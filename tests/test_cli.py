@@ -147,12 +147,17 @@ def _poly():
     return st.dictionaries(keys, field_strings, max_size=3)
 
 
+# a point field: fresh, or one of a few arrays that files then repeat
+_SHARED_POINTS = [["0", "0", "0"], ["1", "-2", "3/4"], [" 1", "-2", "3/4"], ["1.5", "0", "1/0"]]
+_point_field = st.one_of(st.sampled_from(_SHARED_POINTS).map(list), _vec(3))
+
 object_records = st.one_of(
     st.fixed_dictionaries({"kind": st.just("plane"), "coeffs": _vec(4)}),
-    st.fixed_dictionaries({"kind": st.just("sphere"), "center": _vec(3), "radius2": radius_strings}),
+    st.fixed_dictionaries({"kind": st.just("sphere"), "center": _point_field,
+                           "radius2": radius_strings}),
     st.fixed_dictionaries({"kind": st.just("implicit"), "poly": _poly()}),
-    st.fixed_dictionaries({"kind": st.just("line"), "origin": _vec(3), "direction": _vec(3)}),
-    st.fixed_dictionaries({"kind": st.just("circle"), "center": _vec(3), "normal": _vec(3),
+    st.fixed_dictionaries({"kind": st.just("line"), "origin": _point_field, "direction": _vec(3)}),
+    st.fixed_dictionaries({"kind": st.just("circle"), "center": _point_field, "normal": _vec(3),
                            "radius2": radius_strings}),
     st.fixed_dictionaries({"kind": st.just("implicit_pair"), "f": _poly(), "g": _poly()}),
 )
@@ -196,6 +201,42 @@ class TestParserDifferential:
     def test_objects_json(self, records):
         text = json.dumps(records)
         assert _outcome(io.objects_from_json, text) == _outcome(oracle.objects_from_json, text)
+
+    def test_repeated_centres_share_one_point(self, tmp_path):
+        p1 = tmp_path / "p1.csv"
+        p2 = tmp_path / "p2.csv"
+        p1.write_text(io.points_to_csv([point(0, 0, 0), point(1, 1, 2), point(-1, 2, 5)]))
+        p2.write_text(io.points_to_csv([point(3, 0, 1), point(F(1, 2), -1, 0)]))
+        prefix = str(tmp_path / "ds")
+        assert cli.main(["generate", "distance-spheres", "--points", str(p1),
+                         "--points2", str(p2), "--out-prefix", prefix]) == 0
+        text = (tmp_path / "ds.objects.json").read_text()
+        spheres = io.objects_from_json(text)
+        assert spheres == oracle.objects_from_json(text)
+        centres = {id(s.center) for s in spheres}
+        assert len(spheres) > len(centres) == 2
+        line = {"kind": "line", "origin": ["3", "0", "1"], "direction": ["1", "0", "0"]}
+        circle = {"kind": "circle", "center": ["3", "0", "1"], "normal": ["0", "0", "1"],
+                  "radius2": "2"}
+        objects = io.objects_from_json(json.dumps([*json.loads(text), line, circle]))
+        assert objects[-1].center is objects[-2].origin is objects[0].center
+
+    # each malformed point field, alone and after a valid array of the
+    # same strings
+    @pytest.mark.parametrize("field", [
+        ["1", "2", "3", "4"], ["1", "2"], ["1", 2, "3"], [["1"], "2", "3"], ["1", ["2"], "3"],
+        [{"1": "1"}, "2", "3"], {"1": "0", "2": "0", "3": "0"}, "123", None, ["1", "2", "x"],
+    ])
+    @pytest.mark.parametrize("valid_first", [False, True])
+    def test_malformed_point_field_first_or_repeated(self, field, valid_first):
+        for kind, key in [("sphere", "center"), ("line", "origin"), ("circle", "center")]:
+            def record(value):
+                return {"kind": kind, key: value, "radius2": "1",
+                        "direction": ["1", "0", "0"], "normal": ["0", "0", "1"]}
+
+            records = [record(["1", "2", "3"])] if valid_first else []
+            with pytest.raises(ValidationError):
+                io.objects_from_json(json.dumps([*records, record(field)]))
 
     def test_generated_instances(self, tmp_path):
         prefix = str(tmp_path / "ds")
@@ -417,6 +458,28 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "search" and "round 2" in err["message"]
         assert F(err["best_imbalance"]) > F(5, 8)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--formula", "bad", "--observed", "3"),
+        ("count", "--points", "p.csv"),
+        ("partition", "--points", "p.csv", "--rounds", "two"),
+        ("bogus",),
+        (),
+    ], ids=["bad-choice", "missing-required", "non-int", "unknown-command", "no-command"])
+    def test_usage_error_exits_1_with_record(self, capsys, argv):
+        assert self.run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "validation" and record["message"].startswith("inclab")
+        assert len(err.splitlines()) == 1
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["count", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                self.run(*argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: inclab")
 
     def test_validation_exit_code(self, tmp_path, capsys):
         assert self.run(

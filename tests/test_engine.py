@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from inclab import construct, engine, geom
+from inclab import construct, engine, geom, io
 from inclab.errors import CoincidentObjects, GuardExceeded, UnsupportedObject, ValidationError
 from inclab.geom import Circle, Line, Plane, Sphere, TriPoly, point
 
@@ -151,6 +152,115 @@ class TestDifferential:
         assert got.residual_edges == want.residual_edges
 
 
+CUBE = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
+
+
+def _assert_matches_oracle(pts, objs):
+    edges = engine._incidence_edges(pts, objs)
+    assert len(edges) == len(set(edges))
+    assert set(edges) == oracle.incidence_edges(pts, objs)
+
+
+@st.composite
+def lattice_spheres(draw):
+    """Points of [0,4]^3 over one denominator, with spheres of radius^2 1, 2
+    and 3 around every point, in those units and in lattice units."""
+    den = draw(st.sampled_from([1, 2, 3]))
+    chosen = draw(st.lists(st.sampled_from(CUBE), min_size=1, max_size=24, unique=True))
+    pts = [point(F(x, den), F(y, den), F(z, den)) for x, y, z in chosen]
+    radii = [F(r2) for r2 in (1, 2, 3)] + [F(r2, den * den) for r2 in (1, 2, 3)]
+    spheres = [Sphere(p, r2) for p in pts for r2 in dict.fromkeys(radii)]
+    return pts, draw(st.permutations(spheres))
+
+
+class TestCentredMatching:
+    """Shell probing and scanning in `_centred_edges`, and the identity
+    table of anchors in `_incidence_edges`, against the all-pairs oracle."""
+
+    def test_integer_shell_matches_cube_scan(self):
+        side = math.isqrt(300)
+        cube = range(-side, side + 1)
+        want: dict[int, set] = {t: set() for t in range(301)}
+        for v in itertools.product(cube, repeat=3):
+            t = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+            if t <= 300:
+                want[t].add(v)
+        for t, vectors in want.items():
+            shell = engine._integer_shell(t)
+            assert len(shell) == len(set(shell))
+            assert set(shell) == vectors
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lattice_spheres())
+    def test_lattice_spheres(self, instance):
+        _assert_matches_oracle(*instance)
+
+    def test_probed_and_scanned_targets_mix(self, monkeypatch):
+        # 36 points over den 3 and radius^2 1, 2, 3: targets 9, 18 and 27,
+        # each held by 36 centres, with shells of 30, 36 and 32 vectors
+        probed = []
+
+        def recording(centred, n):
+            shells = probed_shells(centred, n)
+            probed.append(sorted(shells))
+            return shells
+
+        probed_shells = engine._probed_shells
+        monkeypatch.setattr(engine, "_probed_shells", recording)
+        pts = [point(F(x, 3), F(y, 3), F(z, 3)) for x, y, z in CUBE[:36]]
+        spheres = [Sphere(p, F(r2)) for p in pts for r2 in (1, 2, 3)]
+        _assert_matches_oracle(pts, spheres)
+        assert probed == [[9, 27]]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from(CUBE), min_size=1, max_size=20, unique=True),
+        st.lists(st.sampled_from([(0, 0, 1), (1, 1, 0), (1, -1, 1), (1, 2, 3), (F(1, 2), 0, 0),
+                                  (2, -1, 0)]), min_size=1, max_size=6),
+        st.sampled_from([1, 2, 3, 5, 6]),
+    )
+    def test_circles_sharing_a_small_target(self, chosen, normals, r2):
+        pts = [point(*c) for c in chosen]
+        circles = [Circle(p, n, F(r2)) for p in pts for n in normals]
+        _assert_matches_oracle(pts, circles)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from(CUBE), min_size=2, max_size=20, unique=True).flatmap(
+            lambda lattice: st.tuples(st.just(lattice), st.integers(1, min(5, len(lattice) - 1)))),
+        st.sampled_from([1, 2]),
+    )
+    def test_distance_spheres_with_repeated_centres(self, chosen, den):
+        # spheres around each point of P2 through every point of P1, each
+        # centre repeated once per distance; parsing makes them one Point3
+        lattice, split = chosen
+        pts = [point(F(x, den), F(y, den), F(z, den)) for x, y, z in lattice]
+        p1, p2 = pts[split:], pts[:split]
+        spheres, _ = construct.gen_distance_spheres(p1, p2)
+        parsed = io.objects_from_json(io.objects_to_json(spheres))
+        for objs in (spheres, parsed):
+            _assert_matches_oracle(p1, objs)
+
+    def test_each_distinct_anchor_cleared_once(self, monkeypatch):
+        p1 = [point(x, y, x * x + y * y) for x, y in [(0, 0), (1, 2), (-3, 1), (2, 2)]]
+        p2 = [point(5, 5, 5), point(-1, 4, 0), point(F(1, 2), 0, 3)]
+        spheres, t = construct.gen_distance_spheres(p1, p2)
+        parsed = io.objects_from_json(io.objects_to_json(spheres))
+        cleared = []
+
+        def recording_coords(pts):
+            pts = list(pts)
+            cleared.append(len(pts))
+            return integer_coords(pts)
+
+        integer_coords = geom.integer_coords
+        monkeypatch.setattr(geom, "integer_coords", recording_coords)
+        edges = engine._incidence_edges(p1, parsed)
+        assert len(parsed) == len(p2) * t > len(p2)
+        assert cleared == [len(p1) + len(p2)]
+        assert len(edges) == len(p1) * len(p2)
+
+
 class TestDecompose:
     def test_shared_circle_family(self):
         pts = [point(1, 0, 0), point(0, 1, 0), point(5, 5, 5)]
@@ -231,6 +341,21 @@ class TestKrs:
         _, graph = engine.count_incidences([], [])
         with pytest.raises(GuardExceeded):
             engine.contains_krs(graph, 5, 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 7).flatmap(lambda m: st.tuples(
+            st.just(m),
+            st.sets(st.tuples(st.integers(0, 6), st.integers(0, max(m - 1, 0))), max_size=30)
+            if m else st.just(set()),
+        )),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    def test_matches_object_combinations(self, graph_spec, r, s):
+        m, edges = graph_spec
+        graph = engine.IncidenceGraph(tuple(range(m)), frozenset(edges))
+        assert engine.contains_krs(graph, r, s) == oracle.contains_krs(graph, r, s)
 
 
 class TestProjection:
