@@ -8,20 +8,26 @@ class Z.  The search is randomized over Veronese-lifted linear functionals
 with coefficients in 64ths snapped from Gaussian draws.  Coordinates are
 cleared of denominators once, so each candidate's lifted values are Python
 ints and one exact sweep over doubled midpoint thresholds both ranks and
-certifies it; no point value ever sits on an accepted threshold.
+certifies it; no point value ever sits on an accepted threshold.  Scores
+are ints in units of 1/lcm(cell sizes), from score tables built once per
+round, and (1+delta)/2 is compared with them by cross-multiplying.
 
-The censuses stay in the same integers.  `cell_census` evaluates each
-factor's integer numerator on the cleared coordinates; `crossing_census`
-clears the line's origin and direction, restricts every factor to the line
-as an integer polynomial and reads the cells it meets off dyadic sample
-points between the roots of their product (`roots`).  Each of these is a
-positive multiple of the rational value, so every sign is exact.
+The censuses stay in the same integers.  Each factor is cleared of
+denominators once per partition (`PartitionPolynomial._integer_forms`);
+a census only scales its terms by den**(d - |m|) for the points' or the
+line's common denominator.  `cell_census` evaluates the scaled terms on
+the cleared coordinates; `crossing_census` clears the line's origin and
+direction once, reads every factor's restriction to the line off power
+tables (o + t v)**e per axis, and takes the sign vectors at the dyadic
+sample points (a, k) between the roots of their product (`roots`), each
+sign from an integer Horner value.  Each of these is a positive multiple
+of the rational value, so every sign is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +39,9 @@ from .errors import BudgetExhausted, GuardExceeded, ValidationError
 from .geom import Line, Point3, TriPoly, clear_denominators, frac, integer_coords
 
 CellLabel = Union[tuple[str, ...], str]
+# a factor's degree d and its terms (c, i, j, k): coefficients cleared of
+# denominators, a positive multiple of the factor
+IntegerForm = tuple[int, list[tuple[int, int, int, int]]]
 
 Z_LABEL = "Z"
 
@@ -92,6 +101,16 @@ class PartitionPolynomial:
     def total_degree(self) -> int:
         return sum(f.degree() for f in self.round_factors)
 
+    @functools.cached_property
+    def _integer_forms(self) -> list[IntegerForm]:
+        """Each round factor cleared of denominators once, for every census
+        on this partition."""
+        forms = []
+        for f in self.round_factors:
+            cs, _ = clear_denominators(f.terms.values())
+            forms.append((f.degree(), [(c, i, j, k) for c, (i, j, k) in zip(cs, f.terms)]))
+        return forms
+
 
 def round_degree(round_index: int) -> int:
     """Smallest d with binom(d+3,3)-1 >= number of sets bisected in round i."""
@@ -117,23 +136,31 @@ def _snap(x: float, denom: int = 64) -> int:
     return round(x * denom)
 
 
-def _best_threshold(cell_values: list[list[int]], pad: int) -> tuple[Fraction, int]:
-    """Exact scan of doubled thresholds over integer cell values, in any order.
+def _score_tables(sizes: Sequence[int]) -> list[list[int]]:
+    """Each cell's scores in integer units of 1/lcm(sizes): a cell of m
+    points, b of them below the threshold, scores max(b, m - b) / m.  Every
+    table starts at the unit, the score of a cell left whole."""
+    unit = math.lcm(*sizes)
+    return [[max(b, m - b) * (unit // m) for b in range(m + 1)] for m in sizes]
+
+
+def _best_threshold(values: list[int], cell_of: list[int], pad: int,
+                    tables: list[list[int]]) -> tuple[int, int]:
+    """Exact scan of doubled thresholds over integer point values, in any
+    order, with cell_of[i] the cell of value i.
 
     The candidates, in order, are 2(min - pad) and 2(max + pad), then a + b
     for each pair of neighbouring distinct values a < b, so no value sits on
     a threshold.  A threshold's score is the largest open side of any cell
-    as a fraction of that cell; returns the first (score, theta) with the
-    smallest score.  One sweep over the values in order moves them below
-    the threshold one at a time, updating only their own cell's score.
+    as a fraction of that cell, in the units of the cells' `_score_tables`;
+    returns the first (score, theta) with the smallest score.  One sweep
+    over the values in order moves them below the threshold one at a time,
+    updating only their own cell's score.
     """
-    unit = math.lcm(*map(len, cell_values))
-    # a cell of m values, b of them below the threshold, scores max(b, m - b)
-    # in units of 1/unit
-    tables = [[max(b, m - b) * (unit // m) for b in range(m + 1)] for m in map(len, cell_values)]
-    below = [0] * len(cell_values)
-    scores = [unit] * len(cell_values)
-    order = sorted([(v, c) for c, vals in enumerate(cell_values) for v in vals])
+    unit = tables[0][0]
+    below = [0] * len(tables)
+    scores = [unit] * len(tables)
+    order = sorted(zip(values, cell_of))
     # with every value on one side each cell scores unit, so of the first
     # two candidates 2(min - pad) stands until a strictly lower score
     prev = order[0][0]
@@ -146,7 +173,16 @@ def _best_threshold(cell_values: list[list[int]], pad: int) -> tuple[Fraction, i
             prev = v
         b = below[c] = below[c] + 1
         scores[c] = tables[c][b]
-    return Fraction(best, unit), best_theta
+    return best, best_theta
+
+
+def _values(w: list[int], columns: list[list[int]]) -> list[int]:
+    """Every point's value w . lift(p), from the lifts stored by monomial."""
+    values = [0] * len(columns[0])
+    for c, column in zip(w, columns):
+        if c:
+            values = [v + c * x for v, x in zip(values, column)]
+    return values
 
 
 def build_partition(
@@ -167,31 +203,42 @@ def build_partition(
         raise ValidationError("delta must be >= 0")
     if len(points) < 2**t:
         raise ValidationError(f"need at least 2^{t} points")
-    rng = random.Random(seed)
-    limit = Fraction(1 + delta, 2)
     coords, den = integer_coords(points)
+    if len(set(coords)) != len(coords):
+        raise ValidationError("points must be distinct")
+    rng = random.Random(seed)
+    # a score s in units of 1/unit is at most (1+delta)/2 exactly when
+    # 2 s delta.denominator <= (delta.denominator + delta.numerator) unit
+    limit_num, limit_den = delta.denominator + delta.numerator, 2 * delta.denominator
     cells: list[list[int]] = [list(range(len(points)))]
     factors: list[TriPoly] = []
 
     for round_index in range(1, t + 1):
+        tables = _score_tables([len(cell) for cell in cells])
+        unit = tables[0][0]
+        ceiling = limit_num * unit // limit_den  # the largest score accepted
         # no threshold sits on a value, so a cell's larger open side holds
         # at least half of it, rounded up: no score can be below target
-        target = max(Fraction(-(-len(cell) // 2), len(cell)) for cell in cells)
-        if target > limit:
+        target = max(map(min, tables))
+        if target > ceiling:
             raise BudgetExhausted(
                 f"round {round_index}: no (1+{delta})-bisection exists: an open side "
-                f"holds at least {target} of some cell",
-                best_imbalance=target,
+                f"holds at least {Fraction(target, unit)} of some cell",
+                best_imbalance=Fraction(target, unit),
             )
+        cell_of = [0] * len(points)
+        for c, cell in enumerate(cells):
+            for pid in cell:
+                cell_of[pid] = c
         d = round_degree(round_index)
         monomials = _monomials_up_to(d)
         # den**d * x**i y**j z**k from integer coordinates: every lift is
         # scaled by the same positive constant, and with weights in 64ths
         # a value of pad is one unit of the factor's value
         pad = 64 * den**d
-        lifts = [
-            [den ** (d - i - j - k) * x**i * y**j * z**k for (i, j, k) in monomials]
-            for (x, y, z) in coords
+        columns = [
+            [den ** (d - i - j - k) * x**i * y**j * z**k for (x, y, z) in coords]
+            for (i, j, k) in monomials
         ]
         accepted = None
         best_imbalance = None
@@ -209,24 +256,22 @@ def build_partition(
                 w[idx] += _snap(rng.gauss(0.0, 0.5))
             if all(c == 0 for c in w):
                 continue
-            cell_values = [
-                [sum(map(operator.mul, w, lifts[pid])) for pid in cell] for cell in cells
-            ]
-            score, theta = _best_threshold(cell_values, pad)
-            if score > limit:
+            values = _values(w, columns)
+            score, theta = _best_threshold(values, cell_of, pad, tables)
+            if score > ceiling:
                 if best_imbalance is None or score < best_imbalance:
                     best_imbalance = score
                 continue
             if accepted is None or score < accepted[0]:
-                accepted = (score, w, theta)
+                accepted = (score, w, theta, values)
             if score <= target:
                 break
         if accepted is None:
             raise BudgetExhausted(
                 f"round {round_index}: no (1+{delta})-bisection found in {budget} candidates",
-                best_imbalance=best_imbalance,
+                best_imbalance=None if best_imbalance is None else Fraction(best_imbalance, unit),
             )
-        _, w, theta = accepted
+        _, w, theta, values = accepted
         terms = {mono: Fraction(c, 64) for mono, c in zip(monomials, w) if c != 0}
         terms[(0, 0, 0)] = -Fraction(theta, 2 * pad)
         factors.append(TriPoly(terms))
@@ -234,8 +279,7 @@ def build_partition(
         for cell in cells:
             neg, pos = [], []
             for pid in cell:
-                value = sum(map(operator.mul, w, lifts[pid]))
-                (neg if 2 * value < theta else pos).append(pid)
+                (neg if 2 * values[pid] < theta else pos).append(pid)
             new_cells.extend(side for side in (neg, pos) if side)
         cells = new_cells
     return PartitionPolynomial(factors, t, delta, seed)
@@ -244,19 +288,19 @@ def build_partition(
 # ---------------------------------------------------------------------------
 # classification and censuses
 
-def _integer_terms(f: TriPoly, den: int) -> list[tuple[int, int, int, int]]:
-    """f's terms as (c den**(d - |m|), i, j, k), for m = (i, j, k), d = deg f
-    and c the coefficients cleared of denominators: a positive multiple of
-    den**d f(P / den) on integer coordinates P, which keeps every sign."""
-    cs, _ = clear_denominators(f.terms.values())
-    d = f.degree()
-    return [(c * den ** (d - i - j - k), i, j, k) for c, (i, j, k) in zip(cs, f.terms)]
+def _scaled(form: IntegerForm, den: int) -> list[tuple[int, int, int, int]]:
+    """A factor's integer terms as (c den**(d - |m|), i, j, k): a positive
+    multiple of den**d f(P / den) on integer coordinates P."""
+    d, terms = form
+    if den == 1:
+        return terms
+    return [(c * den ** (d - i - j - k), i, j, k) for c, i, j, k in terms]
 
 
 def _labels(points: Sequence[Point3], part: PartitionPolynomial) -> list[CellLabel]:
     """Each point's cell label, with every factor evaluated in integers."""
     coords, den = integer_coords(points)
-    factors = [_integer_terms(f, den) for f in part.round_factors]
+    factors = [_scaled(form, den) for form in part._integer_forms]
     labels: list[CellLabel] = []
     for x, y, z in coords:
         signs = []
@@ -282,36 +326,50 @@ def cell_census(points: Sequence[Point3], part: PartitionPolynomial) -> dict[Cel
     return census
 
 
-def _restrict(f: TriPoly, origin: tuple[int, int, int], direction: tuple[int, int, int],
-              den: int) -> list[int]:
-    """Integer coefficients (ascending) of t -> c den**d f((origin + t direction) / den),
-    a positive multiple of f along the line (c clears f's denominators, d is
-    f's degree)."""
-    total = [0] * (f.degree() + 1)
-    for c, i, j, k in _integer_terms(f, den):
-        term = [c]
-        for o, v, e in zip(origin, direction, (i, j, k)):
-            for _ in range(e):
-                term = roots.umul(term, [o, v])
-        for e, t in enumerate(term):
-            total[e] += t
-    return roots.utrim(total)
+def _restricted(forms: Sequence[IntegerForm], origin: tuple[int, int, int],
+                direction: tuple[int, int, int], den: int) -> list[list[int]]:
+    """Integer coefficients (ascending) of t -> den**d f((origin + t direction) / den)
+    for each factor's integer form (d its degree), trimmed: a positive
+    multiple of the factor along the line.  Each monomial is read off the
+    tables of (o + t v)**e, one table per axis up to the largest degree."""
+    top = max((d for d, _ in forms), default=0)
+    tables = []
+    for o, v in zip(origin, direction):
+        powers = [[1]]
+        for _ in range(top):  # (o + t v) times the last power
+            last = powers[-1]
+            powers.append([o * a + v * b for a, b in zip(last + [0], [0] + last)])
+        tables.append(powers)
+    xs, ys, zs = tables
+    out = []
+    for form in forms:
+        total = [0] * (form[0] + 1)
+        for c, i, j, k in _scaled(form, den):
+            poly = xs[i]
+            if j:
+                poly = roots.umul(poly, ys[j]) if i else ys[j]
+            if k:
+                poly = roots.umul(poly, zs[k]) if i or j else zs[k]
+            for e, p in enumerate(poly):
+                total[e] += c * p
+        out.append(roots.utrim(total))
+    return out
 
 
 def crossing_census(line: Line, part: PartitionPolynomial) -> int:
     """Distinct open-cell sign vectors met along a line, by exact univariate
     root isolation of each factor restricted to the line, in integers."""
-    (origin, direction), den = integer_coords([line.origin, Point3(*line.direction)])
-    restricted = [_restrict(f, origin, direction, den) for f in part.round_factors]
+    ints, den = clear_denominators((*line.origin.as_tuple(), *line.direction))
+    restricted = _restricted(part._integer_forms, ints[:3], ints[3:], den)
     if not all(restricted):
         return 0  # the line lies inside some factor's zero set: always Z
     product = [1]
     for r in restricted:
         product = roots.umul(product, r)
-    # no sample is a root of the product, so every sign is +1 or -1
+    # no sample is a root of the product, so no value is 0
     return len({
-        tuple(roots.sign_at(r, x) for r in restricted)
-        for x in roots.sample_points_between_roots(product)
+        tuple([roots._hvalue(r, a, k) > 0 for r in restricted])
+        for a, k in roots._samples(product)
     })
 
 

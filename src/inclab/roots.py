@@ -1,15 +1,19 @@
 """Exact real-root isolation for univariate polynomials, in integers.
 
-Polynomials are coefficient lists in ascending degree order.  The public
-entry points take rational lists (ints or Fractions), which
-`geom.clear_denominators` clears to ints; inside, every polynomial is a
-primitive integer polynomial, because multiplying by a positive constant
-keeps every sign.  Isolation uses one method: Sturm sequences from
-pseudo-remainders, scaled by |lc|^(delta+1) so that no sign flips and
-divided by their content at each step, with bisection from the Cauchy bound
-rounded up to a power of two.  Every point is dyadic, a / 2^k,
-and its sign comes from homogenized Horner in ints with shifts.  Returned
-intervals and sample points are dyadic `Fraction`s that are never roots.
+Polynomials are coefficient lists in ascending degree order.  Inside, every
+polynomial is an integer polynomial made primitive, because multiplying by
+a positive constant keeps every sign; only the public entry points take
+rational lists (ints or Fractions), which `geom.clear_denominators` clears
+to ints.  Isolation uses one method: Sturm sequences from pseudo-remainders,
+scaled by |lc|^(delta+1) so that no sign flips and divided by their content
+at each step, with bisection from the Cauchy bound rounded up to a power of
+two.  Every point is a dyadic pair (a, k) meaning a / 2^k, and every sign
+comes from homogenized Horner in ints with shifts (`_hvalue`).  `_samples`
+takes an integer polynomial and returns its sample points as such pairs,
+for callers that sign integer polynomials there themselves, as the
+partition crossing census does; `sample_points_between_roots`,
+`isolate_real_roots` and `sign_at` are thin wrappers that turn the pairs
+into dyadic `Fraction`s that are never roots, or read a `Fraction` back.
 """
 
 from __future__ import annotations
@@ -107,21 +111,31 @@ def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
     return seq
 
 
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive greatest common divisor of integer polynomials, with a
+    positive leading coefficient."""
+    g = _remainders(a, b)[-1]
+    return [-c for c in g] if g and g[-1] < 0 else g
+
+
 def ugcd(a: UPoly, b: UPoly) -> list[int]:
     """Primitive greatest common divisor with a positive leading coefficient."""
-    g = _remainders(_integer(a), _integer(b))[-1]
-    return [-c for c in g] if g and g[-1] < 0 else g
+    return _gcd(_integer(a), _integer(b))
+
+
+def _squarefree(p: list[int]) -> list[int]:
+    """The distinct roots of a primitive integer polynomial p, each once."""
+    if len(p) < 2:
+        return p
+    g = _gcd(p, _primitive(uderiv(p)))
+    if len(g) < 2:
+        return p
+    return _primitive(_udivmod(p, g)[0])
 
 
 def squarefree(p: UPoly) -> list[int]:
     """Primitive integer polynomial with the distinct roots of p, each once."""
-    p = _integer(p)
-    if len(p) < 2:
-        return p
-    g = ugcd(p, uderiv(p))
-    if len(g) < 2:
-        return p
-    return _primitive(_udivmod(p, g)[0])
+    return _squarefree(_integer(p))
 
 
 def sturm_sequence(p: list[int]) -> list[list[int]]:
@@ -129,17 +143,15 @@ def sturm_sequence(p: list[int]) -> list[list[int]]:
     return _remainders(p, _primitive(uderiv(p)))
 
 
-def _squarefree_sturm(p: UPoly) -> tuple[list[int], list[list[int]]]:
-    """p's primitive squarefree part and its Sturm sequence, which is empty
-    when p is constant."""
-    p = _integer(p)
+def _squarefree_sturm(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence of the squarefree part of a primitive integer
+    polynomial p, which is its first entry; empty when p is constant."""
     if len(p) < 2:
-        return p, []
+        return []
     seq = sturm_sequence(p)
     if len(seq[-1]) > 1:  # gcd(p, p') is not constant: p has a repeated root
-        p = squarefree(p)
-        seq = sturm_sequence(p)
-    return p, seq
+        seq = sturm_sequence(_squarefree(p))
+    return seq
 
 
 def _hvalue(p: list[int], a: int, k: int) -> int:
@@ -153,14 +165,18 @@ def _hvalue(p: list[int], a: int, k: int) -> int:
     return acc
 
 
-def _variations(seq: list[list[int]], a: int, k: int) -> int:
-    """Sign changes of the sequence at a / 2^k, zeros skipped."""
+def _variations(seq: list[list[int]], a: int, k: int) -> int | None:
+    """Sign changes of the sequence at a / 2^k, zeros skipped, or None when
+    a / 2^k is a root of its first entry."""
+    it = iter(seq)
+    last = _hvalue(next(it), a, k)
+    if not last:
+        return None
     count = 0
-    last = 0
-    for q in seq:
+    for q in it:
         v = _hvalue(q, a, k)
         if v:
-            if last and (v > 0) != (last > 0):
+            if (v > 0) != (last > 0):
                 count += 1
             last = v
     return count
@@ -175,22 +191,25 @@ def sign_at(p: list[int], x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def _split(p: list[int], lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int]:
-    """A dyadic point strictly inside (lo, hi) that is not a root of p: the
-    midpoint, or when that is a root, the first non-root of
-    mid + 2^-(k+1), mid + 3 * 2^-(k+2), ..., all below mid + 2^-k <= hi."""
+def _split(seq: list[list[int]], lo: tuple[int, int],
+           hi: tuple[int, int]) -> tuple[tuple[int, int], int]:
+    """A dyadic point strictly inside (lo, hi) that is not a root of seq[0],
+    with the sequence's sign changes there: the midpoint, or when that is a
+    root, the first non-root of mid + 2^-(k+1), mid + 3 * 2^-(k+2), ...,
+    all below mid + 2^-k <= hi."""
     k = max(lo[1], hi[1]) + 1
     m = (lo[0] << (k - 1 - lo[1])) + (hi[0] << (k - 1 - hi[1]))
-    while not _hvalue(p, m, k):
+    while (v := _variations(seq, m, k)) is None:
         m, k = 2 * m + 1, k + 1
-    return m, k
+    return (m, k), v
 
 
-def _isolate(p: list[int], seq: list[list[int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Sorted isolating intervals of a squarefree primitive p with Sturm
-    sequence seq, as pairs of dyadic points (a, k) meaning a / 2^k.  Each
-    open interval holds exactly one root; neighbours may share an endpoint;
-    no endpoint is a root."""
+def _isolate(seq: list[list[int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Sorted isolating intervals of the squarefree primitive p = seq[0]
+    with Sturm sequence seq, as pairs of dyadic points (a, k) meaning
+    a / 2^k.  Each open interval holds exactly one root; neighbours may
+    share an endpoint; no endpoint is a root."""
+    p = seq[0]
     # Cauchy: every root has |x| < 1 + max|c_i| / |lc| <= 2^e
     e = (-(-max(map(abs, p[:-1])) // abs(p[-1]))).bit_length()
     lo, hi = (-(1 << e), 0), (1 << e, 0)
@@ -201,8 +220,7 @@ def _isolate(p: list[int], seq: list[list[int]]) -> list[tuple[tuple[int, int], 
         if vlo - vhi == 1:
             out.append((lo, hi))
         elif vlo - vhi > 1:
-            mid = _split(p, lo, hi)
-            vmid = _variations(seq, *mid)
+            mid, vmid = _split(seq, lo, hi)
             stack.append((mid, hi, vmid, vhi))
             stack.append((lo, mid, vlo, vmid))
     return out
@@ -219,14 +237,14 @@ def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
     Each open interval holds exactly one root, lo and hi are dyadic and
     never roots, and the intervals are strictly separated: hi < next lo.
     """
-    p, seq = _squarefree_sturm(p)
+    seq = _squarefree_sturm(_integer(p))
     if not seq:
         return []
-    out = _isolate(p, seq)
+    out = _isolate(seq)
 
     def refine(lo, hi):  # the half of (lo, hi) that keeps its root
-        mid = _split(p, lo, hi)
-        return (lo, mid) if _variations(seq, *lo) - _variations(seq, *mid) else (mid, hi)
+        mid, vmid = _split(seq, lo, hi)
+        return (lo, mid) if _variations(seq, *lo) - vmid else (mid, hi)
 
     for i in range(len(out) - 1):
         while _dyadic(out[i][1]) >= _dyadic(out[i + 1][0]):
@@ -234,12 +252,19 @@ def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
     return [(_dyadic(lo), _dyadic(hi)) for lo, hi in out]
 
 
+def _samples(p: list[int]) -> list[tuple[int, int]]:
+    """Dyadic points (a, k), meaning a / 2^k, one inside each maximal
+    root-free open interval of the real line cut by the real roots of the
+    integer polynomial p; none is a root of p."""
+    seq = _squarefree_sturm(_primitive(p))
+    intervals = _isolate(seq) if seq else []
+    if not intervals:
+        return [(0, 0)]
+    # an isolating interval's ends are non-roots on either side of its root
+    return [intervals[0][0]] + [hi for _, hi in intervals]
+
+
 def sample_points_between_roots(p: UPoly) -> list[Fraction]:
     """Dyadic sample points, one inside each maximal root-free open interval
     of the real line determined by p's real roots."""
-    p, seq = _squarefree_sturm(p)
-    intervals = _isolate(p, seq) if seq else []
-    if not intervals:
-        return [Fraction(0)]
-    # an isolating interval's ends are non-roots on either side of its root
-    return [_dyadic(intervals[0][0])] + [_dyadic(hi) for _, hi in intervals]
+    return [_dyadic(x) for x in _samples(_integer(p))]

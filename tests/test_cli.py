@@ -459,6 +459,14 @@ class TestCli:
         assert err["error"] == "search" and "round 2" in err["message"]
         assert F(err["best_imbalance"]) > F(5, 8)
 
+    def test_partition_duplicate_points(self, tmp_path, capsys):
+        ppath = tmp_path / "same.csv"
+        ppath.write_text(io.points_to_csv([point(1, F(1, 2), -3)] * 4))
+        assert self.run("partition", "--points", str(ppath), "--rounds", "2") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "validation", "message": "points must be distinct"}
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--formula", "bad", "--observed", "3"),
         ("count", "--points", "p.csv"),

@@ -92,6 +92,60 @@ class TestBuild:
             ],
         }
 
+    def test_three_round_build_pinned(self):
+        # a seeded integer-point build with a degree-2 third round, pinned
+        part = partition.build_partition(random_points(32, seed=12), t=3, delta=F(1, 4), seed=4)
+        assert partition.partition_to_jsonable(part) == {
+            "rounds": 3, "delta": "1/4", "seed": 4,
+            "factors": [
+                {"0,0,0": "-375/64", "0,0,1": "3/64", "0,1,0": "15/32", "1,0,0": "-29/64"},
+                {"0,0,0": "-847/128", "0,0,1": "17/16", "0,1,0": "5/64", "1,0,0": "49/64"},
+                {"0,0,0": "-3333/4", "0,0,1": "5/32", "0,0,2": "3/16", "0,1,0": "11/32",
+                 "0,1,1": "-51/32", "0,2,0": "-7/16", "1,0,0": "1/4", "1,0,1": "-23/64",
+                 "1,1,0": "39/32", "2,0,0": "29/32"},
+            ],
+        }
+
+    def test_rational_build_pinned(self):
+        # a seeded build on points over assorted denominators, pinned
+        rng = random.Random(13)
+        pts = set()
+        while len(pts) < 20:
+            pts.add(point(*(F(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(3))))
+        pts = sorted(pts, key=lambda p: (p.x, p.y, p.z))
+        part = partition.build_partition(pts, t=2, delta=F(1, 4), seed=6)
+        assert partition.partition_to_jsonable(part) == {
+            "rounds": 2, "delta": "1/4", "seed": 6,
+            "factors": [
+                {"0,0,0": "-298769819/69488640", "0,0,1": "1/2", "0,1,0": "-115/64",
+                 "1,0,0": "-25/32"},
+                {"0,0,0": "176755/28672", "0,0,1": "-1/2", "0,1,0": "-5/64", "1,0,0": "-29/64"},
+            ],
+        }
+
+    @pytest.mark.parametrize("n, t, delta, seed, best, message", [
+        (32, 3, F(0), 0, F(5, 8), "round 3: no (1+0)-bisection found in 50 candidates"),
+        (24, 3, F(1, 10), 1, F(2, 3), "round 3: no (1+1/10)-bisection found in 50 candidates"),
+    ])
+    def test_exhausted_search_pinned(self, n, t, delta, seed, best, message):
+        # every candidate of the last round is scored and rejected
+        with pytest.raises(BudgetExhausted) as info:
+            partition.build_partition(
+                random_points(n, seed=14), t=t, delta=delta, seed=seed, budget=50
+            )
+        assert info.value.best_imbalance == best
+        assert str(info.value) == message
+
+    def test_duplicate_points(self, monkeypatch):
+        # four copies of one point: rejected before the first candidate
+        monkeypatch.setattr(partition, "_best_threshold", None)
+        with pytest.raises(ValidationError, match="points must be distinct"):
+            partition.build_partition([point(1, 2, 3)] * 4, t=2, delta=F(1, 4), seed=0)
+        pts = random_points(16, seed=15)
+        with pytest.raises(ValidationError, match="points must be distinct"):
+            partition.build_partition(pts + [point(*pts[3].as_tuple())], t=2, delta=F(1, 4),
+                                      seed=0)
+
     def test_exhausted_reports_best_rejected_score(self, monkeypatch):
         # round 2 has two cells of 3 points: an open side holds 2 of 3 at best,
         # so the round stops before scoring a single candidate
@@ -184,15 +238,19 @@ class TestCrossings:
         assert partition.crossing_census(line, _part(TriPoly({(1, 0, 0): F(1)}), factor)) == 0
 
     def test_integer_restriction(self):
+        def restrict(f, origin, direction, den):
+            [r] = partition._restricted(_part(f)._integer_forms, origin, direction, den)
+            return r
+
         f = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(-25)})
         # f(3t, 4t) = 25 t^2 - 25
-        assert partition._restrict(f, (0, 0, 0), (3, 4, 0), 1) == [-25, 0, 25]
+        assert restrict(f, (0, 0, 0), (3, 4, 0), 1) == [-25, 0, 25]
         # f((1/2 + 3t/2, 2t, 0)) = 25/4 t^2 + 3/2 t - 99/4, times den^2 = 4
-        assert partition._restrict(f, (1, 0, 0), (3, 4, 0), 2) == [-99, 6, 25]
+        assert restrict(f, (1, 0, 0), (3, 4, 0), 2) == [-99, 6, 25]
         g = TriPoly({(1, 1, 0): F(1, 3), (0, 0, 1): F(-1, 2)})  # xy/3 - z/2
         line = Line(point(F(1, 2), 0, 1), (F(1), F(1, 3), F(0)))
         (origin, direction), den = integer_coords([line.origin, Point3(*line.direction)])
-        got = partition._restrict(g, origin, direction, den)
+        got = restrict(g, origin, direction, den)
         want = oracle.restrict_to_line(g, line.origin, line.direction)
         ratio = F(got[-1]) / want[-1]
         assert ratio > 0 and [F(c) for c in got] == [ratio * c for c in want]
@@ -279,6 +337,107 @@ class TestCensusDifferential:
             assert partition.crossing_census(line, part) == oracle.crossing_census(line, factors)
 
 
+def _scan(cell_values, pad):
+    """The integer threshold scan, its score read back as a fraction."""
+    tables = partition._score_tables([len(vals) for vals in cell_values])
+    values = [v for vals in cell_values for v in vals]
+    cell_of = [c for c, vals in enumerate(cell_values) for _ in vals]
+    score, theta = partition._best_threshold(values, cell_of, pad, tables)
+    return F(score, tables[0][0]), theta
+
+
+THIRDS = st.fractions(min_value=-3, max_value=3).map(lambda x: F(round(x * 3), 3))
+FIFTHS = st.fractions(min_value=-3, max_value=3).map(lambda x: F(round(x * 5), 5))
+
+
+def _vector(draw, coords):
+    v = tuple(draw(coords) for _ in range(3))
+    return v if any(v) else (F(1), F(0), F(0))
+
+
+@st.composite
+def shared_root_cases(draw):
+    """Factors that all vanish at one anchor A over thirds, and 24 lines with
+    origins over thirds and directions over fifths.  Half of the lines pass
+    through A, where every factor has a root; one factor is a sphere tangent
+    to the first line through A and one the square of a plane through A, so
+    double roots and roots shared between factors show up."""
+    anchor = point(*(draw(THIRDS) for _ in range(3)))
+    a = anchor.as_tuple()
+    lines = []
+    for index in range(24):
+        direction = _vector(draw, FIFTHS)
+        if index % 2:
+            origin = point(*(draw(THIRDS) for _ in range(3)))
+        else:  # through A at the parameter -s
+            s = draw(st.sampled_from([F(0), F(1), F(-1, 2)]))
+            origin = point(*(x - s * d for x, d in zip(a, direction)))
+        lines.append(Line(origin, direction))
+    d = lines[0].direction
+    u = _vector(draw, THIRDS)
+    n = (d[1] * u[2] - d[2] * u[1], d[2] * u[0] - d[0] * u[2], d[0] * u[1] - d[1] * u[0])
+    if not any(n):
+        n = (d[1], -d[0], F(0)) if d[0] or d[1] else (F(1), F(0), F(0))
+    centre = [x + y for x, y in zip(a, n)]
+    sphere = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1)}) + TriPoly.linear(
+        *(-2 * c for c in centre), sum(c * c for c in centre) - sum(x * x for x in n))
+    m = _vector(draw, THIRDS)
+    plane = TriPoly.linear(*m, -sum(x * y for x, y in zip(m, a)))
+    chosen = draw(st.lists(st.sampled_from(MONOMIALS), min_size=1, max_size=4, unique=True))
+    other = TriPoly({mono: draw(SMALL) for mono in chosen})
+    if other.degree() < 1:
+        other = TriPoly({(0, 1, 0): F(1)})
+    other = other - TriPoly.constant(other.evaluate(anchor))
+    pool = [sphere, plane * plane, plane, other]
+    factors = draw(st.lists(st.sampled_from(range(4)), min_size=1, max_size=3, unique=True))
+    pts = [anchor] + [point(*(draw(THIRDS) for _ in range(3))) for _ in range(4)]
+    return pts, [pool[i] for i in factors], lines
+
+
+class TestSharedRootDifferential:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(shared_root_cases())
+    def test_matches_fraction_oracle(self, case):
+        pts, factors, lines = case
+        part = _part(*factors)
+        assert partition.cell_census(pts, part) == oracle.cell_census(pts, factors)
+        assert partition.classify(pts[0], part) == partition.Z_LABEL
+        want = [oracle.crossing_census(line, factors) for line in lines]
+        assert [partition.crossing_census(line, part) for line in lines] == want
+        back = partition.partition_from_jsonable(partition.partition_to_jsonable(part))
+        assert [partition.crossing_census(line, back) for line in lines] == want
+
+    def test_tangent_sphere_through_anchor(self):
+        # the unit sphere about (0, 1, 0) touches the x axis at the origin,
+        # where the plane x = 0 crosses it: (+, +), (+, -)
+        sphere = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1), (0, 1, 0): F(-2)})
+        plane = TriPoly({(1, 0, 0): F(1)})
+        line = Line(point(F(-1, 3), 0, 0), (F(2, 5), F(0), F(0)))
+        assert partition.crossing_census(line, _part(sphere, plane)) == 2
+        assert partition.crossing_census(line, _part(sphere, plane * plane)) == 1
+
+    def test_each_factor_cleared_once(self, monkeypatch):
+        pts = random_points(32, seed=16)
+        part = partition.build_partition(pts, t=3, delta=F(1, 4), seed=2)
+        calls = []
+        clear = partition.clear_denominators
+
+        def counted(values):
+            values = list(values)
+            calls.append(len(values))
+            return clear(values)
+
+        monkeypatch.setattr(partition, "clear_denominators", counted)
+        rng = random.Random(17)
+        lines = [Line(point(*(F(rng.randint(-50, 50), 3) for _ in range(3))),
+                      tuple(F(rng.randint(1, 9), 7) for _ in range(3))) for _ in range(25)]
+        got = [partition.crossing_census(line, part) for line in lines]
+        partition.cell_census(pts, part)
+        # one clearing per factor, then one per line (its six coordinates)
+        assert sorted(calls) == sorted([len(f.terms) for f in part.round_factors] + [6] * 25)
+        assert got == [oracle.crossing_census(line, part.round_factors) for line in lines]
+
+
 CELL_VALUES = st.lists(
     st.lists(st.integers(-4, 4), min_size=1, max_size=6), min_size=1, max_size=5
 )
@@ -288,9 +447,7 @@ class TestThresholdSweep:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(CELL_VALUES, st.integers(1, 3))
     def test_matches_bisect_scan(self, cell_values, pad):
-        assert partition._best_threshold(cell_values, pad) == oracle.best_threshold(
-            cell_values, pad
-        )
+        assert _scan(cell_values, pad) == oracle.best_threshold(cell_values, pad)
 
     @pytest.mark.parametrize("cell_values, want", [
         ([[5, 5, 5], [5]], (F(1), 8)),             # all values equal: 2(min - pad)
@@ -300,7 +457,7 @@ class TestThresholdSweep:
         ([[0, 1, 2]], (F(2, 3), 1)),               # 1 and 3 tie: the first wins
     ])
     def test_known_scans(self, cell_values, want):
-        assert partition._best_threshold(cell_values, 1) == want
+        assert _scan(cell_values, 1) == want
         assert oracle.best_threshold(cell_values, 1) == want
 
 

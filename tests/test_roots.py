@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracle
 from inclab import roots
+from inclab.geom import clear_denominators
 
 
 def poly_from_roots(rs):
@@ -162,3 +163,16 @@ class TestFractionOracleDifferential:
         assert all(_is_dyadic(s) and oracle.ueval(p, s) != 0 for s in samples)
         for a, b in zip(samples, samples[1:]):
             assert a < b and oracle.count_roots(seq, a, b) == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(root_polys(), st.integers(1, 12))
+    def test_integer_samples_and_signs(self, p, scale):
+        # the int path takes any positive multiple, and its pairs are the
+        # wrapper's sample points, where sign_at agrees with the oracle
+        ints, _ = clear_denominators(p)
+        samples = roots._samples([scale * c for c in ints])
+        assert [F(a, 1 << k) for a, k in samples] == roots.sample_points_between_roots(p)
+        for a, k in samples:
+            v = oracle.ueval(p, F(a, 1 << k))
+            assert roots.sign_at(ints, F(a, 1 << k)) == (v > 0) - (v < 0) != 0
+            assert (roots._hvalue(ints, a, k) > 0) == (v > 0)
