@@ -110,8 +110,7 @@ def _is_surface(obj) -> bool:
 def _cmd_count(args) -> int:
     pts = _load_points(args.points)
     objs = _load_objects(args.objects)
-    count, _ = engine.count_incidences(pts, objs)
-    _emit(args, {"incidences": count})
+    _emit(args, {"incidences": len(engine._incidence_edges(pts, objs))})
     return 0
 
 

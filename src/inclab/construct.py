@@ -21,7 +21,6 @@ from .geom import (
     Surface,
     TriPoly,
     canonicalize,
-    dist2,
     frac,
     point,
     rational_sqrt,
@@ -221,16 +220,24 @@ def gen_distance_spheres(
 ) -> tuple[list[Surface], int]:
     """For each q in P2, spheres centered at q with every distinct squared
     distance realized over P1 x P2 as radius2.  Yields |P2| * t spheres and
-    exactly |P1| * |P2| point-sphere incidences."""
+    exactly |P1| * |P2| point-sphere incidences.
+
+    P1 and P2 are cleared of denominators together (`geom.integer_coords`),
+    so the squared distances are formed and deduplicated as ints over den^2;
+    only the t distinct ones become `Fraction`s."""
     if not P1 or not P2:
         raise ValidationError("P1 and P2 must be nonempty")
-    if set(P1) & set(P2):
+    ints, den = geom.integer_coords([*P1, *P2])
+    I1, I2 = ints[:len(P1)], ints[len(P1):]
+    if set(I1) & set(I2):
         raise ValidationError("P1 and P2 must be disjoint")
-    d2s = sorted({dist2(p, q) for p in P1 for q in P2})
-    if d2s[0] == 0:
-        raise ValidationError("coincident points across P1 and P2")
-    spheres = [Sphere(q, d2) for q in P2 for d2 in d2s]
-    return spheres, len(d2s)
+    d2s = sorted({
+        (x - a) ** 2 + (y - b) ** 2 + (z - c) ** 2 for x, y, z in I1 for a, b, c in I2
+    })
+    den2 = den * den
+    radii = [Fraction(d, den2) for d in d2s]
+    spheres = [Sphere(q, r) for q in P2 for r in radii]
+    return spheres, len(radii)
 
 
 def gen_unit_spheres(P: Sequence[Point3], radius2=1) -> list[Surface]:

@@ -120,6 +120,13 @@ def point(x, y, z) -> Point3:
     return Point3(x, y, z)
 
 
+def _fraction_triple(v) -> bool:
+    """Whether v is already a tuple of three Fractions, as a parsed line
+    direction or circle normal is."""
+    return (type(v) is tuple and len(v) == 3
+            and type(v[0]) is type(v[1]) is type(v[2]) is Fraction)
+
+
 def integer_coords(points: Iterable[Point3]) -> tuple[list[tuple[int, int, int]], int]:
     """The points' coordinates times their common denominator, as int
     triples, and that denominator."""
@@ -285,8 +292,9 @@ class Plane:
     d: Fraction
 
     def __post_init__(self):
-        for f in ("a", "b", "c", "d"):
-            object.__setattr__(self, f, frac(getattr(self, f)))
+        if not (type(self.a) is type(self.b) is type(self.c) is type(self.d) is Fraction):
+            for f in ("a", "b", "c", "d"):
+                object.__setattr__(self, f, frac(getattr(self, f)))
         if self.a == 0 and self.b == 0 and self.c == 0:
             raise ValidationError("plane normal must be nonzero")
 
@@ -300,7 +308,8 @@ class Sphere:
     radius2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "radius2", frac(self.radius2))
+        if type(self.radius2) is not Fraction:
+            object.__setattr__(self, "radius2", frac(self.radius2))
         if self.radius2.numerator <= 0:  # the sign; cheaper than a Fraction comparison
             raise ValidationError("sphere needs radius2 > 0")
 
@@ -326,7 +335,8 @@ class Line:
     direction: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", tuple(frac(c) for c in self.direction))
+        if not _fraction_triple(self.direction):
+            object.__setattr__(self, "direction", tuple(frac(c) for c in self.direction))
         if len(self.direction) != 3:
             raise ValidationError("line direction needs 3 entries")
         if is_zero_vec(self.direction):
@@ -340,8 +350,10 @@ class Circle:
     radius2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", tuple(frac(c) for c in self.normal))
-        object.__setattr__(self, "radius2", frac(self.radius2))
+        if not _fraction_triple(self.normal):
+            object.__setattr__(self, "normal", tuple(frac(c) for c in self.normal))
+        if type(self.radius2) is not Fraction:
+            object.__setattr__(self, "radius2", frac(self.radius2))
         if len(self.normal) != 3:
             raise ValidationError("circle normal needs 3 entries")
         if is_zero_vec(self.normal):

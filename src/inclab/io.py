@@ -16,6 +16,17 @@ validated once, so `engine._incidence_edges` clears each repeated centre
 once.  Any other array (a wrong length, a non-string entry, a nested array)
 is parsed on every occurrence and raises `ValidationError` every time.  The
 tables live only for that call.
+
+Writing is the mirror image and keeps every byte of the `csv` and `json`
+writers it replaces.  `format_rational` reads the numerator and denominator
+of a `Fraction` or int as they are.  `points_to_csv` joins `x,y,z` lines
+itself, since a rational never needs CSV quoting.  Every JSON file and CLI
+payload goes through `dumps_json`: a tree of str, int, list and str-keyed
+dict is written by a small recursive writer, byte for byte
+`json.dumps(v, indent=2, sort_keys=True) + "\n"`, and any other value
+(bool, None, float, a dict with other keys) by `json.dumps` itself.
+`atomic_write` writes the UTF-8 bytes to a temporary file in the target's
+directory and renames it over the target.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import json.encoder
 import os
 import re
 import tempfile
@@ -43,8 +55,10 @@ from .geom import (
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if type(x) is not Fraction and type(x) is not int:
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # the strings whose Fraction is plainly Fraction(int(num), int(den))
@@ -82,12 +96,8 @@ def _interned_parser():
 # points CSV
 
 def points_to_csv(points: Sequence[Point3]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y", "z"])
-    for p in points:
-        writer.writerow([format_rational(c) for c in p.as_tuple()])
-    return buf.getvalue()
+    fmt = format_rational
+    return "x,y,z\n" + "".join([f"{fmt(p.x)},{fmt(p.y)},{fmt(p.z)}\n" for p in points])
 
 
 def points_from_csv(text: str) -> list[Point3]:
@@ -227,7 +237,7 @@ def _object_from_record(rec: dict, parse, point):
 
 
 def objects_to_json(objects: Sequence) -> str:
-    return json.dumps([object_to_record(o) for o in objects], indent=2, sort_keys=True) + "\n"
+    return dumps_json([object_to_record(o) for o in objects])
 
 
 def objects_from_json(text: str) -> list:
@@ -242,19 +252,86 @@ def objects_from_json(text: str) -> list:
     return [_object_from_record(rec, parse, point) for rec in data]
 
 
+# ---------------------------------------------------------------------------
+# JSON text
+
+class _NotPlain(Exception):
+    """A value that the plain JSON writer leaves to `json.dumps`."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _plain_json(value, indent: str, out: list):
+    """Append the chunks of `value` as `json.dumps(value, indent=2,
+    sort_keys=True)` writes it at nesting `indent` to `out`, for str, int,
+    list and str-keyed dict only."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(str(value))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            if type(v) is str:  # the most common leaf, quoted without a call
+                out.append(_quote(v))
+            else:
+                _plain_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        for key in value:
+            if type(key) is not str:
+                raise _NotPlain
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k in sorted(value):
+            out.append(sep)
+            out.append(_quote(k))
+            out.append(": ")
+            v = value[k]
+            if type(v) is str:
+                out.append(_quote(v))
+            else:
+                _plain_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise _NotPlain
+
+
 def dumps_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(data, indent=2, sort_keys=True) + "\\n"`."""
+    out: list[str] = []
+    try:
+        _plain_json(data, "", out)
+    except _NotPlain:
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # atomic writes
 
 def atomic_write(path: str, content: str):
+    """Write `content` to `path` as UTF-8 through a temporary file in the
+    same directory and `os.replace`, so the target is never half written."""
+    data = content.encode()
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".inclab-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,9 +6,10 @@ a positive constant keeps every sign; only the public entry points take
 rational lists (ints or Fractions), which `geom.clear_denominators` clears
 to ints.  Isolation uses one method: Sturm sequences from pseudo-remainders,
 scaled by |lc|^(delta+1) so that no sign flips and divided by their content
-at each step, with bisection from the Cauchy bound rounded up to a power of
-two.  Every point is a dyadic pair (a, k) meaning a / 2^k, and every sign
-comes from homogenized Horner in ints with shifts (`_hvalue`).  `_samples`
+at each step, with bisection from a power-of-two root bound read off the
+coefficients' bit lengths (Fujiwara's bound).  Every point is a dyadic
+pair (a, k) meaning a / 2^k, and every sign comes from homogenized Horner
+in ints with shifts (`_hvalue`).  `_samples`
 takes an integer polynomial and returns its sample points as such pairs,
 for callers that sign integer polynomials there themselves, as the
 partition crossing census does; `sample_points_between_roots`,
@@ -204,14 +205,28 @@ def _split(seq: list[list[int]], lo: tuple[int, int],
     return (m, k), v
 
 
+def _bound_exponent(p: list[int]) -> int:
+    """An e with every root of the integer polynomial p strictly inside
+    (-2^e, 2^e), from the coefficients' bit lengths (Fujiwara).
+
+    Every root has |x| < 2 max_i |c_(n-i) / lc|^(1/i), and
+    |c / lc| < 2^(bitlen|c| - bitlen|lc| + 1), so e is 1 plus the largest
+    of 0 and ceil((bitlen|c_(n-i)| - bitlen|lc| + 1) / i) over the nonzero
+    c_(n-i)."""
+    top = abs(p[-1]).bit_length() - 1
+    e = 0
+    for i, c in enumerate(reversed(p[:-1]), 1):
+        if c:
+            e = max(e, -((top - abs(c).bit_length()) // i))
+    return e + 1
+
+
 def _isolate(seq: list[list[int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Sorted isolating intervals of the squarefree primitive p = seq[0]
     with Sturm sequence seq, as pairs of dyadic points (a, k) meaning
     a / 2^k.  Each open interval holds exactly one root; neighbours may
     share an endpoint; no endpoint is a root."""
-    p = seq[0]
-    # Cauchy: every root has |x| < 1 + max|c_i| / |lc| <= 2^e
-    e = (-(-max(map(abs, p[:-1])) // abs(p[-1]))).bit_length()
+    e = _bound_exponent(seq[0])
     lo, hi = (-(1 << e), 0), (1 << e, 0)
     out = []
     stack = [(lo, hi, _variations(seq, *lo), _variations(seq, *hi))]

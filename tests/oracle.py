@@ -15,7 +15,10 @@ are the references of `roots`, `partition.cell_census`,
 `apps.similar_triangles_bruteforce`, `apps.triangle_circles` and the census
 count.  The parsers that send every string through `Fraction(s.strip())`
 are the references of `io.parse_rational`, `io.points_from_csv` and
-`io.objects_from_json`.
+`io.objects_from_json`; the writers through `Fraction(x)`, `csv.writer` and
+`json.dumps` are the references of `io.format_rational`,
+`io.points_to_csv` and `io.objects_to_json`, and the `Fraction` distance
+loop is the reference of `construct.gen_distance_spheres`.
 """
 
 from __future__ import annotations
@@ -634,3 +637,61 @@ def objects_from_json(text: str) -> list:
     if not isinstance(data, list):
         raise ValidationError("objects file must be a JSON array")
     return [object_from_record(rec) for rec in data]
+
+
+# ---------------------------------------------------------------------------
+# writers through csv and json, and the Fraction distance-sphere family
+
+
+def format_rational(x) -> str:
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def points_to_csv(points: Sequence[Point3]) -> str:
+    buf = _pyio.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "z"])
+    for p in points:
+        writer.writerow([format_rational(c) for c in p.as_tuple()])
+    return buf.getvalue()
+
+
+def _rationals(values) -> list[str]:
+    return [format_rational(c) for c in values]
+
+
+def _poly_record(f: TriPoly) -> dict:
+    return {f"{i},{j},{k}": format_rational(c) for (i, j, k), c in sorted(f.terms.items())}
+
+
+def object_to_record(obj) -> dict:
+    if isinstance(obj, Plane):
+        return {"kind": "plane", "coeffs": _rationals((obj.a, obj.b, obj.c, obj.d))}
+    if isinstance(obj, Sphere):
+        return {"kind": "sphere", "center": _rationals(obj.center.as_tuple()),
+                "radius2": format_rational(obj.radius2)}
+    if isinstance(obj, Line):
+        return {"kind": "line", "origin": _rationals(obj.origin.as_tuple()),
+                "direction": _rationals(obj.direction)}
+    if isinstance(obj, Circle):
+        return {"kind": "circle", "center": _rationals(obj.center.as_tuple()),
+                "normal": _rationals(obj.normal), "radius2": format_rational(obj.radius2)}
+    if isinstance(obj, Implicit):
+        return {"kind": "implicit", "poly": _poly_record(obj.poly)}
+    if isinstance(obj, ImplicitPair):
+        return {"kind": "implicit_pair", "f": _poly_record(obj.f), "g": _poly_record(obj.g)}
+    raise ValidationError(f"cannot serialize {type(obj).__name__}")
+
+
+def objects_to_json(objects: Sequence) -> str:
+    return json.dumps([object_to_record(o) for o in objects], indent=2, sort_keys=True) + "\n"
+
+
+def gen_distance_spheres(P1: Sequence[Point3], P2: Sequence[Point3]) -> tuple[list[Sphere], int]:
+    if not P1 or not P2:
+        raise ValidationError("P1 and P2 must be nonempty")
+    if set(P1) & set(P2):
+        raise ValidationError("P1 and P2 must be disjoint")
+    d2s = sorted({dist2(p, q) for p in P1 for q in P2})
+    return [Sphere(q, d2) for q in P2 for d2 in d2s], len(d2s)

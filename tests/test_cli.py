@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from inclab import apps, cli, construct, io
+from inclab import apps, cli, construct, engine, io
 from inclab.errors import ValidationError
-from inclab.geom import Circle, ImplicitPair, Line, Plane, Point3, Sphere, TriPoly, point
+from inclab.geom import (
+    Circle, Implicit, ImplicitPair, Line, Plane, Point3, Sphere, TriPoly, point,
+)
 
 
 # coordinate fields that are not a JSON array of the right length
@@ -247,6 +249,124 @@ class TestParserDifferential:
         assert io.objects_from_json(objects) == oracle.objects_from_json(objects)
 
 
+# strings the JSON writer must escape: quotes, backslashes, control and
+# non-ASCII characters, a lone surrogate
+_JSON_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "a", "\u00e9",
+                              "\u2028", "\U0001f600", "\ud800"]), max_size=6).map("".join),
+)
+json_trees = st.recursive(
+    st.one_of(_JSON_TEXT, st.integers(), st.integers(-10**200, 10**200), st.booleans(),
+              st.none(), st.floats()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+        # non-str keys: json converts them, and raises TypeError on a mix it cannot sort
+        st.dictionaries(st.one_of(st.integers(-3, 3), st.none(), st.booleans()), children,
+                        max_size=3),
+    ),
+    max_leaves=24,
+)
+_rationals = st.one_of(st.integers(-10**30, 10**30), st.fractions(),
+                       st.fractions(max_denominator=10**12))
+_small_coords = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+_small_points = st.lists(st.tuples(_small_coords, _small_coords, _small_coords).map(
+    lambda t: point(*t)), max_size=5, unique=True)
+
+
+def _dumped(dump, value):
+    """The JSON text, or TypeError if the writer rejects the value."""
+    try:
+        return dump(value)
+    except TypeError:
+        return TypeError
+
+
+class TestWriterDifferential:
+    """`io`'s writers against `csv.writer`, `json.dumps` and `Fraction(x)`,
+    and the integer distance-sphere family against the `Fraction` one."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_trees)
+    @example({"incidences": 3})
+    @example({"b": [1, {"c": [], "a": {}}], "": ["x", -7]})
+    @example([True, 1, None, 1.5])
+    @example({1: "x", 2: ["y"]})
+    @example({"k": None})
+    @example({1: 0, "1": 1})
+    def test_dumps_json(self, value):
+        def reference(v):
+            return json.dumps(v, indent=2, sort_keys=True) + "\n"
+
+        assert _dumped(io.dumps_json, value) == _dumped(reference, value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(_rationals, st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from(["3/6", " -4 ", "1.25", "-0", "7e3"])))
+    def test_format_rational(self, x):
+        assert io.format_rational(x) == oracle.format_rational(x)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_rationals, _rationals, _rationals).map(lambda t: point(*t)),
+                    max_size=8))
+    def test_points_csv(self, pts):
+        assert io.points_to_csv(pts) == oracle.points_to_csv(pts)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(object_records, max_size=6))
+    def test_objects_json(self, records):
+        objects = _outcome(io.objects_from_json, json.dumps(records))
+        if objects is not ValidationError:
+            assert io.objects_to_json(objects) == oracle.objects_to_json(objects)
+
+    def test_objects_json_every_kind(self):
+        poly = TriPoly({(0, 1, 0): F(1), (1, 0, 0): F(-1, 3), (0, 0, 0): 5})
+        quadric = TriPoly({(0, 0, 1): 1, (2, 0, 0): -1, (0, 2, 0): F(-10**20, 7)})
+        objects = [
+            Plane(F(1), F(-2), F(0), F(5, 3)), Plane(1, -2, 0, 4),
+            Sphere(point(1, F(-2, 9), 3), F(9, 4)), Sphere(point(0, 0, 0), 2),
+            Implicit(quadric),
+            Line(point(0, 0, F(1, 2)), (F(1), F(2), F(-2))), Line(point(1, 2, 3), [0, -1, 7]),
+            Circle(point(1, 0, 0), (F(0), F(0), F(1)), F(4)), Circle(point(0, 0, 0), [1, 1, 0], 3),
+            ImplicitPair(poly, quadric),
+        ]
+        lift = construct.gen_paraboloid_lift([(1, 2), (F(-1, 2), 0)], [(1, 0, F(2, 3))])
+        for objs in (objects, [], lift.curves + lift.surfaces,
+                     construct.gen_elekes_grid(2).curves):
+            assert io.objects_to_json(objs) == oracle.objects_to_json(objs)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_small_points, _small_points)
+    def test_distance_spheres(self, p1, p2):
+        got = _outcome(construct.gen_distance_spheres, p1, p2)
+        assert got == _outcome(oracle.gen_distance_spheres, p1, p2)
+        if got is not ValidationError:
+            assert io.objects_to_json(got[0]) == oracle.objects_to_json(got[0])
+
+    def test_atomic_write_large(self, tmp_path):
+        text = "".join(f"{i},\u00e9{i},\U0001f600\n" for i in range(12_000))
+        assert len(text.encode()) > 64 * 1024
+        path = tmp_path / "big.txt"
+        path.write_text("old")
+        io.atomic_write(str(path), text)
+        assert path.read_bytes() == text.encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["big.txt"]
+
+    def test_atomic_write_failure_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        (target / "x").write_text("")
+        with pytest.raises(OSError):  # os.replace cannot put a file over a directory
+            io.atomic_write(str(target), "x" * 70_000)
+        path = tmp_path / "kept.txt"
+        path.write_text("old")
+        with pytest.raises(UnicodeEncodeError):
+            io.atomic_write(str(path), "\ud800")
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "kept.txt"]
+
+
 class TestCli:
     def run(self, *argv):
         return cli.main(list(argv))
@@ -268,6 +388,18 @@ class TestCli:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"incidences": 16}
+
+    def test_count_builds_no_incidence_graph(self, tmp_path, capsys, monkeypatch):
+        def graph(*_):
+            raise AssertionError("inclab count needs only the number")
+
+        monkeypatch.setattr(engine, "count_incidences", graph)
+        prefix = str(tmp_path / "e2")
+        assert self.run("generate", "elekes", "--k", "2", "--out-prefix", prefix) == 0
+        assert self.run(
+            "count", "--points", prefix + ".points.csv", "--objects", prefix + ".objects.json"
+        ) == 0
+        assert capsys.readouterr().out == '{\n  "incidences": 16\n}\n'
 
     def test_generate_deterministic(self, tmp_path):
         p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -239,3 +239,30 @@ class TestValidation:
     def test_zero_direction_line(self):
         with pytest.raises(ValidationError):
             Line(point(0, 0, 0), (F(0), F(0), F(0)))
+
+    def test_fraction_fields_kept_others_coerced(self):
+        o, d, n = point(0, 0, 0), (F(1), F(2), F(-2)), (F(0), F(0), F(1))
+        assert Line(o, d).direction is d
+        assert Circle(o, n, F(4)).normal is n
+        assert Line(o, [F(1), 0, "2"]).direction == (F(1), F(0), F(2))
+        assert Circle(o, [0, 0, 1], 4) == Circle(o, n, F(4))
+        for obj, fields in [(Plane(1, 2, "3/6", F(4)), "abcd"), (Sphere(o, 2), ["radius2"]),
+                            (Circle(o, [0, 0, 1], "4"), ["radius2"])]:
+            assert all(type(getattr(obj, f)) is F for f in fields)
+        assert all(type(c) is F for c in Line(o, [1, 0, 2]).direction)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Plane(F(0), F(0), F(0), F(1)), "plane normal must be nonzero"),
+        (lambda: Plane(0, 0, 0, 1), "plane normal must be nonzero"),
+        (lambda: Sphere(point(0, 0, 0), F(-1)), "sphere needs radius2 > 0"),
+        (lambda: Sphere(point(0, 0, 0), 0.5), "refusing to coerce float"),
+        (lambda: Line(point(0, 0, 0), (F(1), F(0))), "line direction needs 3 entries"),
+        (lambda: Line(point(0, 0, 0), [0, 0, 0]), "line direction must be nonzero"),
+        (lambda: Circle(point(0, 0, 0), (F(0), F(1)), F(1)), "circle normal needs 3 entries"),
+        (lambda: Circle(point(0, 0, 0), (F(0),) * 3, F(1)), "circle normal must be nonzero"),
+        (lambda: Circle(point(0, 0, 0), (F(0), F(0), F(1)), F(0)), "circle needs radius2 > 0"),
+        (lambda: Circle(point(0, 0, 0), (F(0), F(0), 1.0), F(1)), "refusing to coerce float"),
+    ])
+    def test_validation_messages(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()

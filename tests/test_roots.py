@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -176,3 +176,35 @@ class TestFractionOracleDifferential:
             v = oracle.ueval(p, F(a, 1 << k))
             assert roots.sign_at(ints, F(a, 1 << k)) == (v > 0) - (v < 0) != 0
             assert (roots._hvalue(ints, a, k) > 0) == (v > 0)
+
+
+class TestRootBound:
+    def test_exponent_values(self):
+        # 1 + max(0, ceil((bitlen|c_(n-i)| - bitlen|lc| + 1) / i))
+        assert roots._bound_exponent([-7, 0, 1]) == 3  # ceil(3 / 2) = 2
+        assert roots._bound_exponent([-(1 << 20), 1]) == 22
+        assert roots._bound_exponent([5, 3]) == 3
+        assert roots._bound_exponent([0, 1]) == 1
+        assert roots._bound_exponent([1, 0, 0, 0, 0, 0, -10**9]) == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.just(0), st.integers(-50, 50), st.integers(-10**9, 10**9)),
+                    min_size=1, max_size=7),
+           st.one_of(st.integers(1, 7), st.integers(1, 10**12)), st.booleans())
+    @example([-(1 << 20)], 1, False)
+    @example([-(1 << 20) * 3], 3, True)
+    @example([-1, 0, 0, 0], 1, False)
+    @example([0, 0, 0], 5, False)
+    @example([1, 0, 0, 0, 0, 0, -10**9], 2, True)
+    def test_every_root_strictly_inside(self, lower, lc, negative):
+        # lower holds c_0 .. c_(n-1), often with zero entries; the leading
+        # coefficient has either sign and is often > 1 in absolute value
+        p = [*lower, -lc if negative else lc]
+        bound = F(1 << roots._bound_exponent(p))
+        fp = [F(c) for c in p]
+        assert oracle.ueval(fp, bound) != 0 and oracle.ueval(fp, -bound) != 0
+        sf = oracle.squarefree(fp)
+        if oracle.udegree(sf) >= 1:
+            seq = oracle.sturm_sequence(sf)
+            every = oracle.root_bound(sf)  # Cauchy's
+            assert oracle.count_roots(seq, -bound, bound) == oracle.count_roots(seq, -every, every)
