@@ -2,7 +2,10 @@
 
 Every formula is evaluated with all implied constants set to 1, so values
 describe shapes, not absolute bounds; the counts they are compared against
-stay exact integers.
+stay exact integers.  Each catalogue entry carries its sense: an upper
+bound on a count, a lower bound (the distinct-distance counts `dd_variety`
+and `dd_bipartite`), or none (the degree schedule `degree_plan`, which
+`verify_instance` refuses).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ class BoundFormula:
 @dataclass
 class BoundReport:
     formula: str
+    sense: str  # UPPER or LOWER
     observed: int
     bound_value: float
     ratio: float
@@ -65,7 +69,10 @@ def _eps(params) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the catalogue: name -> (parameter readers in reading order, evaluator)
+# the catalogue: name -> (sense, parameter readers in reading order, evaluator)
+
+UPPER, LOWER = "upper", "lower"
+
 
 def _param(name, *, integer=False, minimum=1):
     """Reader of one required parameter, checked against its minimum."""
@@ -116,70 +123,71 @@ def _degree_plan(m, n, k, a, a_prime, c):
 
 
 _FORMULAS = {
-    "PS_planar": ((_M, _N, _K), _k_dof_planar),
-    "SZ_planar": ((_M, _N, _S, _eps), _s_param_planar),
-    "circles_planar": ((_M, _N), lambda m, n: (
+    "PS_planar": (UPPER, (_M, _N, _K), _k_dof_planar),
+    "SZ_planar": (UPPER, (_M, _N, _S, _eps), _s_param_planar),
+    "circles_planar": (UPPER, (_M, _N), lambda m, n: (
         _pw(m, 2, 3) * _pw(n, 2, 3)
         + _pw(m, 6, 11) * _pw(n, 9, 11) * _clamped_log(m**3 / n) ** (2 / 11)
         + m + n
     )),
-    "curves3d_main": ((_M, _N, _Q, _K), lambda m, n, q, k: (
+    "curves3d_main": (UPPER, (_M, _N, _Q, _K), lambda m, n, q, k: (
         _pw(m, k, 3 * k - 2) * _pw(n, 3 * k - 3, 3 * k - 2)
         + _pw(m, k, 2 * k - 1) * _pw(n, k - 1, 2 * k - 1) * _pw(q, k - 1, 2 * k - 1)
         + m + n
     )),
-    "curves3d_improved": ((_M, _N, _Q, _K, _S, _eps), lambda m, n, q, k, s, e: (
+    "curves3d_improved": (UPPER, (_M, _N, _Q, _K, _S, _eps), lambda m, n, q, k, s, e: (
         _pw(m, k, 3 * k - 2) * _pw(n, 3 * k - 3, 3 * k - 2)
         + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
         + m ** (2 * s / (5 * s - 4)) * n ** ((3 * s - 4) / (5 * s - 4))
         * q ** ((2 * s - 2) / (5 * s - 4) + e)
         + m + n
     )),
-    "circles3d": ((_M, _N, _Q), lambda m, n, q: (
+    "circles3d": (UPPER, (_M, _N, _Q), lambda m, n, q: (
         _pw(m, 3, 7) * _pw(n, 6, 7)
         + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
         + _pw(m, 6, 11) * _pw(n, 5, 11) * _pw(q, 4, 11)
         * _clamped_log(m**3 / q) ** (2 / 11)
         + m + n
     )),
-    "KST_naive": ((_M, _N, _K), lambda m, n, k: m * _pw(n, k - 1, k) + n),
-    "lines_GK": ((_M, _N, _Q), lambda m, n, q: (
+    "KST_naive": (UPPER, (_M, _N, _K), lambda m, n, k: m * _pw(n, k - 1, k) + n),
+    "lines_GK": (UPPER, (_M, _N, _Q), lambda m, n, q: (
         _pw(m, 1, 2) * _pw(n, 3, 4)
         + _pw(m, 2, 3) * _pw(n, 1, 3) * _pw(q, 1, 3)
         + m + n
     )),
-    "variety_k": ((_M, _N, _K), _k_dof_planar),
-    "variety_s": ((_M, _N, _S, _eps), _s_param_planar),
-    "mixed_k": ((_M, _N, _K), _k_dof_planar),
-    "mixed_s": ((_M, _N, _S, _eps), _s_param_planar),
-    "spheres_variety": ((_M, _N, _eps), lambda m, n, e: (
+    "variety_k": (UPPER, (_M, _N, _K), _k_dof_planar),
+    "variety_s": (UPPER, (_M, _N, _S, _eps), _s_param_planar),
+    "mixed_k": (UPPER, (_M, _N, _K), _k_dof_planar),
+    "mixed_s": (UPPER, (_M, _N, _S, _eps), _s_param_planar),
+    "spheres_variety": (UPPER, (_M, _N, _eps), lambda m, n, e: (
         _pw(m, 1, 2) * n ** (7 / 8 + e) + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
     )),
-    "spheres_3dim": ((_M, _N, _eps), _spheres_6_11),
-    "spheres_2dim": ((_M, _N), lambda m, n: _pw(m, 2, 3) * _pw(n, 2, 3) + m + n),
-    "dd_variety": ((_param("n", minimum=2), _eps), lambda n, e: n ** (7 / 9 - e)),
-    "dd_bipartite": ((_M, _N, _eps), lambda m, n, e: min(
+    "spheres_3dim": (UPPER, (_M, _N, _eps), _spheres_6_11),
+    "spheres_2dim": (UPPER, (_M, _N), lambda m, n: _pw(m, 2, 3) * _pw(n, 2, 3) + m + n),
+    "dd_variety": (LOWER, (_param("n", minimum=2), _eps), lambda n, e: n ** (7 / 9 - e)),
+    "dd_bipartite": (LOWER, (_M, _N, _eps), lambda m, n, e: min(
         m ** (4 / 7 - e) * n ** (1 / 7 - e), _pw(m, 1, 2) * _pw(n, 1, 2), m
     )),
-    "unit_variety": ((_N,), lambda n: _pw(n, 4, 3)),
-    "unit_bipartite": ((_M, _N, _eps), _spheres_6_11),
-    "general_surfaces": ((_M, _N, _S, _eps), lambda m, n, s, e: (
+    "unit_variety": (UPPER, (_N,), lambda n: _pw(n, 4, 3)),
+    "unit_bipartite": (UPPER, (_M, _N, _eps), _spheres_6_11),
+    "general_surfaces": (UPPER, (_M, _N, _S, _eps), lambda m, n, s, e: (
         m ** (2 * s / (3 * s - 1)) * n ** ((3 * s - 3) / (3 * s - 1) + e) + m + n
     )),
-    "rich_points_a": ((_N, _Q, _R, _K), lambda n, q, r, k: (
+    "rich_points_a": (UPPER, (_N, _Q, _R, _K), lambda n, q, r, k: (
         _pw(n, 3, 2) / _pw(r, 3 * k - 2, 2 * k - 2)
         + n * q / _pw(r, 2 * k - 1, k - 1)
         + n / r
     )),
-    "rich_points_b": ((_N, _Q, _R, _K, _S, _eps), lambda n, q, r, k, s, e: (
+    "rich_points_b": (UPPER, (_N, _Q, _R, _K, _S, _eps), lambda n, q, r, k, s, e: (
         _pw(n, 3, 2) / _pw(r, 3 * k - 2, 2 * k - 2)
         + n * q ** ((2 * s - 2) / (3 * s - 4) + e) / r ** ((5 * s - 4) / (3 * s - 4))
         + n / r
     )),
-    "similar_triangles": ((_N,), lambda n: _pw(n, 15, 7)),
-    "degree_plan": (
-        (_M, _N, _K, _constant("a"), _constant("a_prime"), _constant("c")), _degree_plan
-    ),
+    "similar_triangles": (UPPER, (_N,), lambda n: _pw(n, 15, 7)),
+    # a degree schedule, not a count bound: it has no sense to verify against
+    "degree_plan": (None, (
+        _M, _N, _K, _constant("a"), _constant("a_prime"), _constant("c")
+    ), _degree_plan),
 }
 
 FORMULA_NAMES = tuple(_FORMULAS)
@@ -189,7 +197,7 @@ def eval_bound(f: BoundFormula) -> float:
     """Numeric value of the named bound formula with unit constants."""
     if f.name not in _FORMULAS:
         raise ValidationError(f"unknown bound formula {f.name!r}")
-    readers, evaluator = _FORMULAS[f.name]
+    _, readers, evaluator = _FORMULAS[f.name]
     try:
         value = evaluator(*(read(f.params) for read in readers))
     except OverflowError:
@@ -203,12 +211,20 @@ def verify_instance(
     observed: int, f: BoundFormula, threshold: float = FLAG_THRESHOLD
 ) -> BoundReport:
     """Ratio report of an exact count against a bound shape; a raised flag
-    is a finding to inspect, not a failure, since constants are unknown."""
+    is a finding to inspect, not a failure, since constants are unknown.
+
+    An upper bound flags ratio > threshold, a lower bound (the distinct
+    distance counts) ratio < 1 / threshold; a formula with no sense, the
+    degree schedule, raises `ValidationError`."""
     if observed < 0:
         raise ValidationError("observed count must be >= 0")
     value = eval_bound(f)
+    sense = _FORMULAS[f.name][0]
+    if sense is None:
+        raise ValidationError(f"{f.name} is not a count bound; nothing to verify")
     ratio = observed / value if value > 0 else float("inf")
-    return BoundReport(f.name, observed, value, ratio, ratio > threshold)
+    flag = ratio < 1 / threshold if sense == LOWER else ratio > threshold
+    return BoundReport(f.name, sense, observed, value, ratio, flag)
 
 
 def fit_exponent(series: Sequence[tuple[int, int]]) -> tuple[float, float, float]:

@@ -78,12 +78,12 @@ def _cmd_generate(args) -> int:
         p1 = _load_points(args.points)
         p2 = _load_points(args.points2)
         spheres, t = construct.gen_distance_spheres(p1, p2)
-        inst = construct.Instance(p1, surfaces=spheres, label=f"distance spheres t={t}")
+        inst = construct.Instance(p1, surfaces=spheres)
         sys.stdout.write(io.dumps_json({"t": t, "spheres": len(spheres)}))
     elif kind == "unit-spheres":
         pts = _load_points(args.points)
         spheres = construct.gen_unit_spheres(pts, io.parse_rational(args.radius2))
-        inst = construct.Instance(pts, surfaces=spheres, label="unit spheres")
+        inst = construct.Instance(pts, surfaces=spheres)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown generator {kind!r}")
     _write_instance(inst, args.out_prefix)
@@ -209,6 +209,7 @@ def _cmd_verify(args) -> int:
     )
     _emit(args, {
         "formula": report.formula,
+        "sense": report.sense,
         "observed": report.observed,
         "bound": report.bound_value,
         "ratio": report.ratio,

@@ -32,7 +32,6 @@ class Instance:
     points: list[Point3]
     curves: list[Curve] = field(default_factory=list)
     surfaces: list[Surface] = field(default_factory=list)
-    label: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +51,7 @@ def gen_elekes_grid(kk: int) -> Instance:
         for a in range(1, kk + 1)
         for b in range(1, kk**2 + 1)
     ]
-    return Instance(pts, curves=lines, label=f"elekes kk={kk}")
+    return Instance(pts, curves=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +92,7 @@ def gen_paraboloid_lift(
         lift_surface(a, b, *w) for (a, b) in params for w in witnesses
     ]
     pts = [lift_point(x, y) for x, y in planar_points]
-    return Instance(
-        pts, curves=curves, surfaces=surfaces,
-        label=f"paraboloid lift of {len(params)} lines",
-    )
+    return Instance(pts, curves=curves, surfaces=surfaces)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +147,7 @@ def gen_packing_copies(template: Instance, copies: int, seed: int) -> Instance:
         total, _ = engine.count_incidences(pts, curves + surfaces)
         if total != copies * base_count:
             continue
-        return Instance(
-            pts, curves=curves, surfaces=surfaces,
-            label=f"{copies} copies of ({template.label})",
-        )
+        return Instance(pts, curves=curves, surfaces=surfaces)
     raise GenericityFailure("no disjoint packing found in 16 reseeds")
 
 
@@ -209,7 +202,7 @@ def gen_random_on_variety(
     else:
         raise ValidationError(f"unknown variety {which!r}")
     ordered = sorted(pts, key=lambda p: (p.x, p.y, p.z))
-    return Instance(ordered, label=f"{n} random points on {which}")
+    return Instance(ordered)
 
 
 # ---------------------------------------------------------------------------

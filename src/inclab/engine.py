@@ -7,7 +7,8 @@ cleared of denominators once, each distinct anchor object once through an
 identity table that lives for the call, and planes, spheres, lines and
 circles are bucketed by a shape key, so each point is looked up in the
 buckets rather than tested against every object.  Only implicit surfaces
-and curves are tested per pair, with the exact `Fraction` predicates.
+and curves are tested per pair, also in ints, through the integer form on
+each `TriPoly` (`TriPoly.integer_terms`) that the partition censuses use.
 Spheres and circles are matched by one routine, `_centred_edges`, over
 buckets keyed by integer centre and integer target (the scaled squared
 radius, computed in ints); a target shared by many centres is matched by
@@ -59,8 +60,6 @@ from .geom import (
     Surface,
     canonicalize,
     dot,
-    point_on_curve,
-    point_on_surface,
     primitive_vector,
     surface_pair_intersection,
 )
@@ -199,7 +198,7 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
 
     A sphere or circle whose target has a nonzero remainder holds no point
     and is not stored.  Implicit surfaces and curves have no shape key and
-    are tested per pair with the exact predicates.
+    are tested per pair, each polynomial's `integer_terms(den)` in ints.
     """
     # id(anchor) -> anchor, one entry per distinct anchor object
     anchors: dict[int, Point3] = {}
@@ -234,8 +233,11 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
             ox, oy, oz = anchor_of[id(obj.origin)]
             moment = (oy * vz - oz * vy, oz * vx - ox * vz, ox * vy - oy * vx)
             lines.setdefault(direction, {}).setdefault(moment, []).append(oid)
+        elif isinstance(obj, (geom.Implicit, geom.ImplicitPair)):
+            polys = (obj.poly,) if isinstance(obj, geom.Implicit) else (obj.f, obj.g)
+            per_pair.append((oid, [f.integer_terms(den) for f in polys]))
         else:
-            per_pair.append((oid, obj))
+            raise UnsupportedObject(f"not a surface or curve: {type(obj).__name__}")
 
     point_coords = coords[: len(points)]
     edges = _centred_edges(point_coords, centred)
@@ -249,11 +251,9 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
             if hit:
                 edges.extend((pid, oid) for oid in hit)
         if per_pair:
-            p = points[pid]
             edges.extend(
-                (pid, oid) for oid, obj in per_pair
-                if (point_on_surface(p, obj) if isinstance(obj, geom.Implicit)
-                    else point_on_curve(p, obj))
+                (pid, oid) for oid, forms in per_pair
+                if all(geom.integer_value(terms, x, y, z) == 0 for terms in forms)
             )
     return edges
 

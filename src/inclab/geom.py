@@ -7,9 +7,9 @@ pipeline stays inside the rationals.
 
 The integer frame lives here as well: `clear_denominators` is the one place
 where rational values become ints over their common denominator.
-`integer_coords` applies it to points and `primitive_vector` to directions
-and coefficient vectors; the integer cores of `engine`, `apps`, `partition`
-and `roots` start from these.
+`integer_coords` applies it to points, `primitive_vector` to vectors and
+`TriPoly.integer_terms` to polynomials; the integer cores of `engine`,
+`apps`, `partition` and `roots` start from these.
 """
 
 from __future__ import annotations
@@ -149,10 +149,10 @@ class TriPoly:
     """Sparse trivariate polynomial with exact rational coefficients.
 
     `terms` maps exponent triples (i, j, k) to nonzero coefficients; the zero
-    polynomial has an empty map.
+    polynomial has an empty map.  `_cleared` keeps the degree and cleared terms.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_cleared")
 
     def __init__(self, terms: Optional[dict[Monomial, Fraction]] = None):
         clean: dict[Monomial, Fraction] = {}
@@ -165,6 +165,7 @@ class TriPoly:
                         raise ValidationError("negative exponent in TriPoly")
                     clean[(int(i), int(j), int(k))] = c
         self.terms = clean
+        self._cleared = None
 
     # -- constructors -------------------------------------------------------
 
@@ -195,6 +196,8 @@ class TriPoly:
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
+        if self._cleared is not None:  # cached with the cleared terms
+            return self._cleared[0]
         if not self.terms:
             return -1
         return max(i + j + k for (i, j, k) in self.terms)
@@ -245,6 +248,18 @@ class TriPoly:
             total += c * p.x**i * p.y**j * p.z**k
         return total
 
+    def integer_terms(self, den: int = 1) -> list[tuple[int, int, int, int]]:
+        """The terms (c den**(d - |m|), i, j, k), c the coefficients cleared of
+        denominators and d the degree: on integer coordinates P their
+        `integer_value` is a positive multiple of den**d f(P / den)."""
+        if self._cleared is None:
+            cs, _ = clear_denominators(self.terms.values())
+            self._cleared = self.degree(), [(c, *m) for c, m in zip(cs, self.terms)]
+        d, terms = self._cleared
+        if den == 1:
+            return terms
+        return [(c * den ** (d - i - j - k), i, j, k) for c, i, j, k in terms]
+
     def translate(self, v: Vec3) -> "TriPoly":
         """Return g with g(x) = f(x - v): the zero set shifted by +v."""
         out = TriPoly.zero()
@@ -277,6 +292,11 @@ class TriPoly:
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
         return self.primitive() == other.primitive()
+
+
+def integer_value(terms: Iterable[tuple[int, int, int, int]], x: int, y: int, z: int) -> int:
+    """The value of `TriPoly.integer_terms` at the integer point (x, y, z)."""
+    return sum([c * x**i * y**j * z**k for c, i, j, k in terms])
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@ tables live only for that call.
 
 Writing is the mirror image and keeps every byte of the `csv` and `json`
 writers it replaces.  `format_rational` reads the numerator and denominator
-of a `Fraction` or int as they are.  `points_to_csv` joins `x,y,z` lines
-itself, since a rational never needs CSV quoting.  Every JSON file and CLI
-payload goes through `dumps_json`: a tree of str, int, list and str-keyed
-dict is written by a small recursive writer, byte for byte
+of a `Fraction` or int as they are.  `objects_to_json` formats each
+distinct centre or origin `Point3` once per call, keyed by identity, so a
+distance-sphere file formats each shared centre once, not once per radius.
+`points_to_csv` joins `x,y,z` lines itself, since a rational never needs
+CSV quoting.  Every JSON file and CLI payload goes through `dumps_json`:
+a tree of str, int, list and str-keyed dict is written by a small
+recursive writer, byte for byte
 `json.dumps(v, indent=2, sort_keys=True) + "\n"`, and any other value
 (bool, None, float, a dict with other keys) by `json.dumps` itself.
 `atomic_write` writes the UTF-8 bytes to a temporary file in the target's
@@ -141,13 +144,22 @@ def _tripoly_from_record(rec: dict, parse) -> TriPoly:
     return TriPoly(terms)
 
 
+def _point_field(p: Point3) -> list[str]:
+    return [format_rational(p.x), format_rational(p.y), format_rational(p.z)]
+
+
 def object_to_record(obj) -> dict:
+    return _object_to_record(obj, _point_field)
+
+
+def _object_to_record(obj, point) -> dict:
+    """The JSON record of an object; `point` formats a centre or origin."""
     if isinstance(obj, Plane):
         return {"kind": "plane", "coeffs": [format_rational(c) for c in (obj.a, obj.b, obj.c, obj.d)]}
     if isinstance(obj, Sphere):
         return {
             "kind": "sphere",
-            "center": [format_rational(c) for c in obj.center.as_tuple()],
+            "center": point(obj.center),
             "radius2": format_rational(obj.radius2),
         }
     if isinstance(obj, Implicit):
@@ -155,13 +167,13 @@ def object_to_record(obj) -> dict:
     if isinstance(obj, Line):
         return {
             "kind": "line",
-            "origin": [format_rational(c) for c in obj.origin.as_tuple()],
+            "origin": point(obj.origin),
             "direction": [format_rational(c) for c in obj.direction],
         }
     if isinstance(obj, Circle):
         return {
             "kind": "circle",
-            "center": [format_rational(c) for c in obj.center.as_tuple()],
+            "center": point(obj.center),
             "normal": [format_rational(c) for c in obj.normal],
             "radius2": format_rational(obj.radius2),
         }
@@ -237,7 +249,17 @@ def _object_from_record(rec: dict, parse, point):
 
 
 def objects_to_json(objects: Sequence) -> str:
-    return dumps_json([object_to_record(o) for o in objects])
+    """The objects file; each distinct centre or origin object is formatted
+    once, through an identity table that lives for the call."""
+    fields: dict[int, list[str]] = {}
+
+    def point(p: Point3) -> list[str]:
+        found = fields.get(id(p))
+        if found is None:
+            found = fields[id(p)] = _point_field(p)
+        return found
+
+    return dumps_json([_object_to_record(o, point) for o in objects])
 
 
 def objects_from_json(text: str) -> list:

@@ -12,21 +12,22 @@ certifies it; no point value ever sits on an accepted threshold.  Scores
 are ints in units of 1/lcm(cell sizes), from score tables built once per
 round, and (1+delta)/2 is compared with them by cross-multiplying.
 
-The censuses stay in the same integers.  Each factor is cleared of
-denominators once per partition (`PartitionPolynomial._integer_forms`);
-a census only scales its terms by den**(d - |m|) for the points' or the
-line's common denominator.  `cell_census` evaluates the scaled terms on
-the cleared coordinates; `crossing_census` clears the line's origin and
-direction once, reads every factor's restriction to the line off power
-tables (o + t v)**e per axis, and takes the sign vectors at the dyadic
-sample points (a, k) between the roots of their product (`roots`), each
-sign from an integer Horner value.  Each of these is a positive multiple
+The censuses stay in the same integers.  The integer form of a factor
+lives on the `TriPoly` itself (`TriPoly.integer_terms`), cleared of
+denominators once, and is the same form the incidence core signs implicit
+objects with; a census only scales its terms by den**(d - |m|) for the
+points' or the line's common denominator.  `cell_census` evaluates the
+scaled terms on the cleared coordinates (`geom.integer_value`);
+`crossing_census` clears the line's origin and direction once, reads
+every factor's restriction to the line off power tables (o + t v)**e per
+axis, and takes the sign vectors at the dyadic sample points (a, k)
+between the roots of their product (`roots`), each sign from an integer
+Horner value.  Each of these is a positive multiple
 of the rational value, so every sign is exact.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -36,12 +37,9 @@ from typing import Sequence, Union
 
 from . import io, roots
 from .errors import BudgetExhausted, GuardExceeded, ValidationError
-from .geom import Line, Point3, TriPoly, clear_denominators, frac, integer_coords
+from .geom import Line, Point3, TriPoly, clear_denominators, frac, integer_coords, integer_value
 
 CellLabel = Union[tuple[str, ...], str]
-# a factor's degree d and its terms (c, i, j, k): coefficients cleared of
-# denominators, a positive multiple of the factor
-IntegerForm = tuple[int, list[tuple[int, int, int, int]]]
 
 Z_LABEL = "Z"
 
@@ -100,16 +98,6 @@ class PartitionPolynomial:
     @property
     def total_degree(self) -> int:
         return sum(f.degree() for f in self.round_factors)
-
-    @functools.cached_property
-    def _integer_forms(self) -> list[IntegerForm]:
-        """Each round factor cleared of denominators once, for every census
-        on this partition."""
-        forms = []
-        for f in self.round_factors:
-            cs, _ = clear_denominators(f.terms.values())
-            forms.append((f.degree(), [(c, i, j, k) for c, (i, j, k) in zip(cs, f.terms)]))
-        return forms
 
 
 def round_degree(round_index: int) -> int:
@@ -288,24 +276,15 @@ def build_partition(
 # ---------------------------------------------------------------------------
 # classification and censuses
 
-def _scaled(form: IntegerForm, den: int) -> list[tuple[int, int, int, int]]:
-    """A factor's integer terms as (c den**(d - |m|), i, j, k): a positive
-    multiple of den**d f(P / den) on integer coordinates P."""
-    d, terms = form
-    if den == 1:
-        return terms
-    return [(c * den ** (d - i - j - k), i, j, k) for c, i, j, k in terms]
-
-
 def _labels(points: Sequence[Point3], part: PartitionPolynomial) -> list[CellLabel]:
     """Each point's cell label, with every factor evaluated in integers."""
     coords, den = integer_coords(points)
-    factors = [_scaled(form, den) for form in part._integer_forms]
+    factors = [f.integer_terms(den) for f in part.round_factors]
     labels: list[CellLabel] = []
     for x, y, z in coords:
         signs = []
         for terms in factors:
-            v = sum(c * x**i * y**j * z**k for c, i, j, k in terms)
+            v = integer_value(terms, x, y, z)
             if v == 0:
                 labels.append(Z_LABEL)
                 break
@@ -326,13 +305,14 @@ def cell_census(points: Sequence[Point3], part: PartitionPolynomial) -> dict[Cel
     return census
 
 
-def _restricted(forms: Sequence[IntegerForm], origin: tuple[int, int, int],
+def _restricted(factors: Sequence[TriPoly], origin: tuple[int, int, int],
                 direction: tuple[int, int, int], den: int) -> list[list[int]]:
     """Integer coefficients (ascending) of t -> den**d f((origin + t direction) / den)
-    for each factor's integer form (d its degree), trimmed: a positive
-    multiple of the factor along the line.  Each monomial is read off the
+    for each factor f of degree d, from its `integer_terms`, trimmed: a
+    positive multiple of f along the line.  Each monomial is read off the
     tables of (o + t v)**e, one table per axis up to the largest degree."""
-    top = max((d for d, _ in forms), default=0)
+    forms = [f.integer_terms(den) for f in factors]
+    top = max((f.degree() for f in factors), default=0)
     tables = []
     for o, v in zip(origin, direction):
         powers = [[1]]
@@ -342,9 +322,9 @@ def _restricted(forms: Sequence[IntegerForm], origin: tuple[int, int, int],
         tables.append(powers)
     xs, ys, zs = tables
     out = []
-    for form in forms:
-        total = [0] * (form[0] + 1)
-        for c, i, j, k in _scaled(form, den):
+    for terms in forms:
+        total = [0] * (top + 1)
+        for c, i, j, k in terms:
             poly = xs[i]
             if j:
                 poly = roots.umul(poly, ys[j]) if i else ys[j]
@@ -360,7 +340,7 @@ def crossing_census(line: Line, part: PartitionPolynomial) -> int:
     """Distinct open-cell sign vectors met along a line, by exact univariate
     root isolation of each factor restricted to the line, in integers."""
     ints, den = clear_denominators((*line.origin.as_tuple(), *line.direction))
-    restricted = _restricted(part._integer_forms, ints[:3], ints[3:], den)
+    restricted = _restricted(part.round_factors, ints[:3], ints[3:], den)
     if not all(restricted):
         return 0  # the line lies inside some factor's zero set: always Z
     product = [1]

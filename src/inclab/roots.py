@@ -6,10 +6,10 @@ a positive constant keeps every sign; only the public entry points take
 rational lists (ints or Fractions), which `geom.clear_denominators` clears
 to ints.  Isolation uses one method: Sturm sequences from pseudo-remainders,
 scaled by |lc|^(delta+1) so that no sign flips and divided by their content
-at each step, with bisection from a power-of-two root bound read off the
-coefficients' bit lengths (Fujiwara's bound).  Every point is a dyadic
-pair (a, k) meaning a / 2^k, and every sign comes from homogenized Horner
-in ints with shifts (`_hvalue`).  `_samples`
+at each step, with bisection from a power-of-two root bound, the smaller
+of Fujiwara's (read off the coefficients' bit lengths) and Cauchy's.
+Every point is a dyadic pair (a, k) meaning a / 2^k, and every sign comes
+from homogenized Horner in ints with shifts (`_hvalue`).  `_samples`
 takes an integer polynomial and returns its sample points as such pairs,
 for callers that sign integer polynomials there themselves, as the
 partition crossing census does; `sample_points_between_roots`,
@@ -207,18 +207,26 @@ def _split(seq: list[list[int]], lo: tuple[int, int],
 
 def _bound_exponent(p: list[int]) -> int:
     """An e with every root of the integer polynomial p strictly inside
-    (-2^e, 2^e), from the coefficients' bit lengths (Fujiwara).
+    (-2^e, 2^e): the smaller of two power-of-two root bounds.
 
-    Every root has |x| < 2 max_i |c_(n-i) / lc|^(1/i), and
-    |c / lc| < 2^(bitlen|c| - bitlen|lc| + 1), so e is 1 plus the largest
-    of 0 and ceil((bitlen|c_(n-i)| - bitlen|lc| + 1) / i) over the nonzero
-    c_(n-i)."""
-    top = abs(p[-1]).bit_length() - 1
+    Fujiwara: every root has |x| < 2 max_i |c_(n-i) / lc|^(1/i), and
+    |c / lc| < 2^(bitlen|c| - bitlen|lc| + 1), so e may be 1 plus the
+    largest of 0 and ceil((bitlen|c_(n-i)| - bitlen|lc| + 1) / i) over the
+    nonzero c_(n-i).  Cauchy: every root has |x| < 1 + M with
+    M = max |c_i| / |lc|, and 1 + M <= 1 + ceil(M) <= 2^bitlen(ceil(M)).
+    Cauchy is the tighter one when the largest |c / lc| is that of
+    c_(n-1), as in many low-degree products; Fujiwara when it is that of a
+    low power, whose i-th root is far smaller."""
+    lc = abs(p[-1])
+    top = lc.bit_length() - 1
     e = 0
     for i, c in enumerate(reversed(p[:-1]), 1):
         if c:
-            e = max(e, -((top - abs(c).bit_length()) // i))
-    return e + 1
+            f = (abs(c).bit_length() - top + i - 1) // i  # the ceiling, in ints
+            if f > e:
+                e = f
+    cauchy = (-(-max(map(abs, p[:-1]), default=0) // lc)).bit_length()
+    return e + 1 if e < cauchy else cauchy
 
 
 def _isolate(seq: list[list[int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:

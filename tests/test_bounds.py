@@ -129,7 +129,26 @@ class TestVerify:
         report = bounds.verify_instance(
             10**9, BoundFormula("spheres_2dim", {"m": 4, "n": 4})
         )
-        assert report.flag
+        assert report.sense == bounds.UPPER and report.flag
+
+    def test_lower_bound_flags_below(self):
+        # the 960 integer points on x^2 + y^2 + z^2 = 5525 span 2,526 distinct
+        # squared distances, 12.96 times the n^(7/9 - eps) shape: not a finding
+        report = bounds.verify_instance(2526, BoundFormula("dd_variety", {"n": 960}))
+        assert report.sense == bounds.LOWER
+        assert report.ratio == pytest.approx(12.963186409281965, rel=1e-12)
+        assert not report.flag
+        # one distance among 10,000 points is far below it
+        report = bounds.verify_instance(1, BoundFormula("dd_variety", {"n": 10_000}))
+        assert report.ratio < 1 / bounds.FLAG_THRESHOLD and report.flag
+        report = bounds.verify_instance(
+            10**6, BoundFormula("dd_bipartite", {"m": 500, "n": 900})
+        )
+        assert report.sense == bounds.LOWER and not report.flag
+
+    def test_degree_plan_has_no_sense(self):
+        with pytest.raises(ValidationError):
+            bounds.verify_instance(5, BoundFormula("degree_plan", {"m": 500, "n": 900, "k": 2}))
 
 
 class TestFit:

@@ -417,6 +417,22 @@ class TestCli:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["bound"] == 106496.0 and payload["ratio"] == 0.0
+        assert payload["sense"] == "upper" and payload["flag"] is False
+
+    def test_verify_lower_bound(self, capsys):
+        for observed, flag in (("2526", False), ("1", True)):
+            assert self.run(
+                "verify", "--formula", "dd_variety", "--params", "n=960", "--observed", observed,
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["sense"] == "lower" and payload["flag"] is flag
+
+    def test_verify_degree_plan_exits_1(self, capsys):
+        assert self.run(
+            "verify", "--formula", "degree_plan", "--params", "m=500,n=900,k=2", "--observed", "5"
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "validation"
 
     def test_verify_large_perfect_power_exponent(self, capsys):
         cases = [

@@ -55,6 +55,10 @@ class TestCounting:
         _, graph = engine.count_incidences(pts, [plane])
         assert graph.edges == {(0, 0), (1, 0), (2, 0)}
 
+    def test_unknown_object_rejected(self):
+        with pytest.raises(UnsupportedObject):
+            engine.count_incidences([point(0, 0, 0)], [point(1, 2, 3)])
+
     def test_duplicate_object_counts_twice(self):
         pts = [point(1, 0, 0), point(0, 1, 0)]
         sph = Sphere(point(0, 0, 0), F(1))
@@ -72,12 +76,14 @@ POINTS = st.builds(geom.Point3, RATIONALS, RATIONALS, RATIONALS)
 
 @st.composite
 def incidence_instances(draw):
-    """Random rational points and objects of all six kinds, most of them
-    forced through chosen points, some tangent there, some duplicated."""
+    """Random rational points and objects of all six kinds (implicit
+    surfaces of degree 2, 3 and 4), most of them forced through chosen
+    points, some tangent there, some duplicated."""
     pts = draw(st.lists(POINTS, min_size=1, max_size=7, unique=True))
     objs = []
     for kind in draw(st.lists(st.sampled_from(
-        ["sphere", "plane", "line", "circle", "implicit", "pair", "tangent", "duplicate"]
+        ["sphere", "plane", "line", "circle", "implicit", "quartic", "pair", "tangent",
+         "duplicate"]
     ), max_size=9)):
         p, q = (draw(st.sampled_from(pts)).as_tuple() for _ in range(2))
         centre = draw(POINTS)
@@ -105,6 +111,12 @@ def incidence_instances(draw):
         elif kind == "implicit":
             a, b, c = draw(VECTORS)
             poly = TriPoly({(2, 0, 0): a, (0, 1, 1): b, (0, 0, 1): c})
+            objs.append(geom.Implicit(poly - TriPoly.constant(poly.evaluate(geom.Point3(*p)))))
+        elif kind == "quartic":
+            # a degree-3 or degree-4 surface through p, with mixed denominators
+            a, b, c = draw(VECTORS)
+            top = draw(st.sampled_from([(1, 1, 1), (3, 0, 0), (2, 1, 1), (0, 0, 4)]))
+            poly = TriPoly({top: a, (1, 2, 0): b, (0, 1, 0): c, (0, 0, 2): draw(RATIONALS)})
             objs.append(geom.Implicit(poly - TriPoly.constant(poly.evaluate(geom.Point3(*p)))))
         elif kind == "pair":
             f = TriPoly.linear(1, 0, draw(RATIONALS), 0)
@@ -136,6 +148,14 @@ class TestDifferential:
     @example((
         [point(F(1, 3), 0, 0), point(1, 2, 3), point(0, 0, 0)],
         [Plane(F(2, 3), F(4, 3), 0, F(1, 5)), Plane(2, 4, 6, 1)],
+    ))
+    # the quartic x^3 y / 2 - z / 3 and the pair {x = 1/2, y = z^2}, over den 36
+    @example((
+        [point(F(1, 2), F(4, 9), F(1, 12)), point(F(1, 2), F(1, 9), F(-1, 3)),
+         point(1, 2, 3), point(F(1, 2), 0, 0)],
+        [geom.Implicit(TriPoly({(3, 1, 0): F(1, 2), (0, 0, 1): F(-1, 3)})),
+         geom.ImplicitPair(TriPoly.linear(1, 0, 0, F(-1, 2)),
+                           TriPoly({(0, 1, 0): F(1), (0, 0, 2): F(-1)}))],
     ))
     def test_matches_all_pairs_oracle(self, instance):
         pts, objs = instance

@@ -80,6 +80,35 @@ class TestTriPoly:
         assert g.evaluate(point(1, 5, 5)) == 0
         assert g.evaluate(point(3, 0, 0)) == 4
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+            .filter(lambda m: sum(m) <= 4),
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            max_size=8,
+        ),
+        st.lists(st.tuples(rationals, rationals, rationals), min_size=1, max_size=6),
+        st.integers(1, 3),
+    )
+    # the value is zero at one point and not at the other, over den 6
+    @example({(2, 0, 0): F(1, 2), (0, 0, 1): F(-1, 3), (0, 0, 0): F(1, 4)},
+             [(F(1, 2), F(7), F(9, 8)), (F(1, 3), F(0), F(1))], 1)
+    @example({(0, 0, 0): F(-3, 7)}, [(F(1, 5), F(0), F(2))], 2)
+    def test_integer_terms_sign(self, terms, coords, scale):
+        # each point is signed at its own cleared coordinates, and over a
+        # common denominator that is not the least one (scale > 1)
+        f = TriPoly(terms)
+        pts = [Point3(*c) for c in coords]
+        ints, den = geom.integer_coords(pts)
+        assert f.integer_terms() is f.integer_terms()  # cleared once
+        for p, (x, y, z) in zip(pts, ints):
+            want = f.evaluate(p)
+            for d, xyz in ((den, (x, y, z)), (scale * den, (scale * x, scale * y, scale * z))):
+                got = geom.integer_value(f.integer_terms(d), *xyz)
+                assert type(got) is int
+                assert (got > 0) - (got < 0) == (want > 0) - (want < 0)
+
     def test_zero_poly_degree(self):
         assert TriPoly.zero().degree() == -1
 

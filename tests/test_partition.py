@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from inclab import partition
+from inclab import geom, partition
 from inclab.errors import BudgetExhausted, GuardExceeded, ValidationError
 from inclab.geom import Line, Point3, TriPoly, integer_coords, point
 from inclab.partition import Regime
@@ -239,7 +239,7 @@ class TestCrossings:
 
     def test_integer_restriction(self):
         def restrict(f, origin, direction, den):
-            [r] = partition._restricted(_part(f)._integer_forms, origin, direction, den)
+            [r] = partition._restricted(_part(f).round_factors, origin, direction, den)
             return r
 
         f = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(-25)})
@@ -420,21 +420,25 @@ class TestSharedRootDifferential:
         pts = random_points(32, seed=16)
         part = partition.build_partition(pts, t=3, delta=F(1, 4), seed=2)
         calls = []
-        clear = partition.clear_denominators
+        clear = geom.clear_denominators
 
         def counted(values):
             values = list(values)
             calls.append(len(values))
             return clear(values)
 
+        # factors are cleared in geom (TriPoly.integer_terms), lines in partition
+        monkeypatch.setattr(geom, "clear_denominators", counted)
         monkeypatch.setattr(partition, "clear_denominators", counted)
         rng = random.Random(17)
         lines = [Line(point(*(F(rng.randint(-50, 50), 3) for _ in range(3))),
                       tuple(F(rng.randint(1, 9), 7) for _ in range(3))) for _ in range(25)]
         got = [partition.crossing_census(line, part) for line in lines]
         partition.cell_census(pts, part)
-        # one clearing per factor, then one per line (its six coordinates)
-        assert sorted(calls) == sorted([len(f.terms) for f in part.round_factors] + [6] * 25)
+        # one clearing per factor, then one per line (its six coordinates),
+        # and the cell census's one of the points' coordinates
+        want = [len(f.terms) for f in part.round_factors] + [6] * 25 + [3 * len(pts)]
+        assert sorted(calls) == sorted(want)
         assert got == [oracle.crossing_census(line, part.round_factors) for line in lines]
 
 
