@@ -60,12 +60,14 @@ def bipartite_distinct_distances(P1: Sequence[Point3], P2: Sequence[Point3]) -> 
 
 
 def repeated_distances(P: Sequence[Point3], d2) -> int:
-    """Unordered pairs of P at squared distance exactly d2."""
+    """Unordered pairs of the distinct points P at squared distance exactly d2."""
     d2 = frac(d2)
     if d2 <= 0:
         raise ValidationError("d2 must be > 0")
-    # integer coordinates: a target that is not an integer is never reached
     coords, den = geom.integer_coords(P)
+    if len(set(coords)) != len(coords):
+        raise ValidationError("points must be distinct")
+    # integer coordinates: a target that is not an integer is never reached
     target = d2 * den * den
     if target.denominator != 1:
         return 0
@@ -267,9 +269,9 @@ def similar_triangles_via_incidences(
     read off the incidences, and the coplanar/cospherical maximum; the
     paper-shaped inequalities are recorded as flags rather than hard
     failures."""
-    apex = _apex_circles(P, shape)
     if len(P) < 3:
         raise ValidationError("need at least three points")
+    apex = _apex_circles(P, shape)
     producers = list(apex.pairs.values())
     frame = [(normal, centre, apex.w * d2) for centre, normal, d2 in apex.pairs]
     # centre -> W / L -> [(normal, circle id)]; a circle whose W / L is not

@@ -43,6 +43,9 @@ CellLabel = Union[tuple[str, ...], str]
 
 Z_LABEL = "Z"
 
+# candidate weights are multiples of 1/_WEIGHT_DEN, snapped from Gaussian draws
+_WEIGHT_DEN = 64
+
 
 # ---------------------------------------------------------------------------
 # degree schedule
@@ -119,9 +122,9 @@ def _monomials_up_to(d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _snap(x: float, denom: int = 64) -> int:
-    """Numerator of x rounded to a multiple of 1/denom."""
-    return round(x * denom)
+def _snap(x: float) -> int:
+    """Numerator of x rounded to a multiple of 1/_WEIGHT_DEN."""
+    return round(x * _WEIGHT_DEN)
 
 
 def _score_tables(sizes: Sequence[int]) -> list[list[int]]:
@@ -221,9 +224,9 @@ def build_partition(
         d = round_degree(round_index)
         monomials = _monomials_up_to(d)
         # den**d * x**i y**j z**k from integer coordinates: every lift is
-        # scaled by the same positive constant, and with weights in 64ths
-        # a value of pad is one unit of the factor's value
-        pad = 64 * den**d
+        # scaled by the same positive constant, and with weights in units of
+        # 1/_WEIGHT_DEN a value of pad is one unit of the factor's value
+        pad = _WEIGHT_DEN * den**d
         columns = [
             [den ** (d - i - j - k) * x**i * y**j * z**k for (x, y, z) in coords]
             for (i, j, k) in monomials
@@ -260,7 +263,7 @@ def build_partition(
                 best_imbalance=None if best_imbalance is None else Fraction(best_imbalance, unit),
             )
         _, w, theta, values = accepted
-        terms = {mono: Fraction(c, 64) for mono, c in zip(monomials, w) if c != 0}
+        terms = {mono: Fraction(c, _WEIGHT_DEN) for mono, c in zip(monomials, w) if c != 0}
         terms[(0, 0, 0)] = -Fraction(theta, 2 * pad)
         factors.append(TriPoly(terms))
         new_cells = []

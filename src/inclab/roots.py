@@ -4,17 +4,22 @@ Polynomials are coefficient lists in ascending degree order.  Inside, every
 polynomial is an integer polynomial made primitive, because multiplying by
 a positive constant keeps every sign; only the public entry points take
 rational lists (ints or Fractions), which `geom.clear_denominators` clears
-to ints.  Isolation uses one method: Sturm sequences from pseudo-remainders,
-scaled by |lc|^(delta+1) so that no sign flips and divided by their content
-at each step, with bisection from a power-of-two root bound, the smaller
-of Fujiwara's (read off the coefficients' bit lengths) and Cauchy's.
+to ints.  Isolation uses one method: the Sturm sequence of p itself (p, its
+derivative and their negated pseudo-remainders, scaled by |lc|^(delta+1)
+so that no sign flips and divided by their content at each step), with
+bisection from a power-of-two root bound, the smaller of Fujiwara's (read
+off the coefficients' bit lengths) and Cauchy's.  p need not be
+squarefree: every entry of its sequence is g = gcd(p, p') times the
+matching entry of the Sturm sequence of p / g, and g is nonzero wherever p
+is, so at two non-roots a < b the sign changes V(a) - V(b) count the
+distinct roots of p in (a, b).
 Every point is a dyadic pair (a, k) meaning a / 2^k, and every sign comes
 from homogenized Horner in ints with shifts (`_hvalue`).  `_samples`
 takes an integer polynomial and returns its sample points as such pairs,
 for callers that sign integer polynomials there themselves, as the
-partition crossing census does; `sample_points_between_roots`,
-`isolate_real_roots` and `sign_at` are thin wrappers that turn the pairs
-into dyadic `Fraction`s that are never roots, or read a `Fraction` back.
+partition crossing census does; `sample_points_between_roots` and
+`isolate_real_roots` are thin wrappers that turn the pairs into dyadic
+`Fraction`s that are never roots.
 """
 
 from __future__ import annotations
@@ -32,11 +37,6 @@ def utrim(p: UPoly) -> UPoly:
     while q and q[-1] == 0:
         q.pop()
     return q
-
-
-def udegree(p: UPoly) -> int:
-    q = utrim(p)
-    return len(q) - 1
 
 
 def ueval(p: UPoly, x) -> Fraction:
@@ -100,58 +100,19 @@ def _udivmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
     return utrim(q), utrim(r)
 
 
-def _remainders(a: list[int], b: list[int]) -> list[list[int]]:
-    """a, b and their negated pseudo-remainders, each divided by its content:
-    the signed remainder sequence up to positive factors."""
-    seq = [a, b] if b else [a]
+def _sturm(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence of a primitive integer polynomial p, whether or
+    not p is squarefree: p, its primitive derivative and their negated
+    pseudo-remainders, each divided by its content, which is the signed
+    remainder sequence up to positive factors; empty when p is constant."""
+    if len(p) < 2:
+        return []
+    seq = [p, _primitive(uderiv(p))]
     while len(seq[-1]) > 1:
         r = _udivmod(seq[-2], seq[-1])[1]
         if not r:
             break
         seq.append(_primitive([-c for c in r]))
-    return seq
-
-
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive greatest common divisor of integer polynomials, with a
-    positive leading coefficient."""
-    g = _remainders(a, b)[-1]
-    return [-c for c in g] if g and g[-1] < 0 else g
-
-
-def ugcd(a: UPoly, b: UPoly) -> list[int]:
-    """Primitive greatest common divisor with a positive leading coefficient."""
-    return _gcd(_integer(a), _integer(b))
-
-
-def _squarefree(p: list[int]) -> list[int]:
-    """The distinct roots of a primitive integer polynomial p, each once."""
-    if len(p) < 2:
-        return p
-    g = _gcd(p, _primitive(uderiv(p)))
-    if len(g) < 2:
-        return p
-    return _primitive(_udivmod(p, g)[0])
-
-
-def squarefree(p: UPoly) -> list[int]:
-    """Primitive integer polynomial with the distinct roots of p, each once."""
-    return _squarefree(_integer(p))
-
-
-def sturm_sequence(p: list[int]) -> list[list[int]]:
-    """Sturm sequence of a primitive integer polynomial of degree >= 1."""
-    return _remainders(p, _primitive(uderiv(p)))
-
-
-def _squarefree_sturm(p: list[int]) -> list[list[int]]:
-    """The Sturm sequence of the squarefree part of a primitive integer
-    polynomial p, which is its first entry; empty when p is constant."""
-    if len(p) < 2:
-        return []
-    seq = sturm_sequence(p)
-    if len(seq[-1]) > 1:  # gcd(p, p') is not constant: p has a repeated root
-        seq = sturm_sequence(_squarefree(p))
     return seq
 
 
@@ -181,15 +142,6 @@ def _variations(seq: list[list[int]], a: int, k: int) -> int | None:
                 count += 1
             last = v
     return count
-
-
-def sign_at(p: list[int], x: Fraction) -> int:
-    """Sign of the integer polynomial p at a dyadic x, such as a sample point."""
-    k = x.denominator.bit_length() - 1
-    if x.denominator != 1 << k:
-        raise ValueError("sign_at needs a dyadic point")
-    v = _hvalue(p, x.numerator, k) if p else 0
-    return (v > 0) - (v < 0)
 
 
 def _split(seq: list[list[int]], lo: tuple[int, int],
@@ -230,10 +182,10 @@ def _bound_exponent(p: list[int]) -> int:
 
 
 def _isolate(seq: list[list[int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Sorted isolating intervals of the squarefree primitive p = seq[0]
-    with Sturm sequence seq, as pairs of dyadic points (a, k) meaning
-    a / 2^k.  Each open interval holds exactly one root; neighbours may
-    share an endpoint; no endpoint is a root."""
+    """Sorted isolating intervals of the distinct real roots of the
+    primitive p = seq[0] with Sturm sequence seq, as pairs of dyadic points
+    (a, k) meaning a / 2^k.  Each open interval holds exactly one root;
+    neighbours may share an endpoint; no endpoint is a root."""
     e = _bound_exponent(seq[0])
     lo, hi = (-(1 << e), 0), (1 << e, 0)
     out = []
@@ -260,7 +212,7 @@ def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
     Each open interval holds exactly one root, lo and hi are dyadic and
     never roots, and the intervals are strictly separated: hi < next lo.
     """
-    seq = _squarefree_sturm(_integer(p))
+    seq = _sturm(_integer(p))
     if not seq:
         return []
     out = _isolate(seq)
@@ -279,7 +231,7 @@ def _samples(p: list[int]) -> list[tuple[int, int]]:
     """Dyadic points (a, k), meaning a / 2^k, one inside each maximal
     root-free open interval of the real line cut by the real roots of the
     integer polynomial p; none is a root of p."""
-    seq = _squarefree_sturm(_primitive(p))
+    seq = _sturm(_primitive(p))
     intervals = _isolate(seq) if seq else []
     if not intervals:
         return [(0, 0)]

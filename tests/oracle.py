@@ -10,8 +10,9 @@ compare the engine against them.  The `Fraction` Sturm root isolation, the
 `Fraction` cell and crossing censuses and the per-cell bisect threshold scan
 are the references of `roots`, `partition.cell_census`,
 `partition.crossing_census` and `partition._best_threshold`.  The
-`Fraction` similar-triangle brute force and the apex circles found through
-`geom.surface_pair_intersection` are the references of
+`Fraction` all-pairs repeated-distance count, the similar-triangle brute
+force and the apex circles found through `geom.surface_pair_intersection`
+are the references of `apps.repeated_distances`,
 `apps.similar_triangles_bruteforce`, `apps.triangle_circles` and the census
 count.  The parsers that send every string through `Fraction(s.strip())`
 are the references of `io.parse_rational`, `io.points_from_csv` and
@@ -495,7 +496,17 @@ def best_threshold(cell_values: list[list[int]], pad: int) -> tuple[Fraction, in
 
 
 # ---------------------------------------------------------------------------
-# similar triangles in Fraction
+# repeated distances and similar triangles in Fraction
+
+def repeated_distances(P: Sequence[Point3], d2) -> int:
+    """Unordered pairs of P at squared distance exactly d2, over all pairs."""
+    d2 = Fraction(d2)
+    if d2 <= 0:
+        raise ValidationError("d2 must be > 0")
+    if len(set(P)) != len(P):
+        raise ValidationError("points must be distinct")
+    return sum(1 for p, q in itertools.combinations(P, 2) if dist2(p, q) == d2)
+
 
 def _matches_shape(d_ab: Fraction, d_ac: Fraction, d_bc: Fraction, shape) -> bool:
     # (d_ab, d_ac, d_bc) proportional to (1, rho1, rho2), division-free

@@ -59,6 +59,23 @@ def census_cases(draw):
         assume(False)
 
 
+@st.composite
+def repeated_cases(draw):
+    """Distinct points with mixed denominators up to 12 and a target: a
+    squared distance of theirs, one divided by 13 or k / 13 (13 divides no
+    denominator of the points, so d2 den^2 is not an integer), or any small
+    fraction."""
+    P = draw(point_sets(min_size=2, max_size=7))
+    pairs = [dist2(p, q) for i, p in enumerate(P) for q in P[i + 1:]]
+    d2 = draw(st.one_of(
+        st.sampled_from(pairs),
+        st.sampled_from(pairs).map(lambda d: d / 13),
+        st.integers(1, 12).map(lambda k: F(k, 13)),
+        st.fractions(min_value=F(1, 50), max_value=20, max_denominator=50),
+    ))
+    return P, d2
+
+
 def _raised(fn, *args):
     try:
         fn(*args)
@@ -107,6 +124,22 @@ class TestDistances:
     def test_repeated_requires_positive(self):
         with pytest.raises(ValidationError):
             apps.repeated_distances(UNIT_SQUARE, 0)
+
+    def test_repeated_rejects_duplicates(self):
+        # [O, A, A] at d2 = 1 would count the pair (O, A) once per copy of A,
+        # and a duplicate is rejected even when the target is never reached
+        P = [point(0, 0, 0), point(F(1, 2), 0, 0), point(F(1, 2), 0, 0)]
+        for d2 in (F(1, 4), F(1, 3)):
+            with pytest.raises(ValidationError, match="points must be distinct"):
+                apps.repeated_distances(P, d2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(repeated_cases())
+    @example(([point(0, 0, 0), point(F(1, 2), 0, 0), point(F(1, 3), F(1, 4), 0)], F(1, 4)))
+    @example(([point(0, 0, 0), point(F(1, 2), 0, 0), point(F(1, 3), F(1, 4), 0)], F(1, 5)))
+    def test_repeated_matches_oracle(self, case):
+        P, d2 = case
+        assert apps.repeated_distances(P, d2) == oracle.repeated_distances(P, d2)
 
 
 class TestTriangleShape:
@@ -190,6 +223,12 @@ class TestBruteforce:
 
 
 class TestCensus:
+    def test_too_few_points(self):
+        # the arity check comes before the apex table, which takes two points
+        for P in ([], [point(0, 0, 0)], UNIT_SQUARE[:2]):
+            with pytest.raises(ValidationError, match="need at least three points"):
+                apps.similar_triangles_via_incidences(P, apps.TriangleShape(1, 1))
+
     def test_unit_square_census(self):
         census = apps.similar_triangles_via_incidences(UNIT_SQUARE, apps.TriangleShape(1, 2))
         assert census.count_bruteforce == 4
@@ -268,8 +307,8 @@ class TestCensus:
         assume(len(P) < 3 or duplicate)
 
         def oracle_census(P, shape):
-            oracle.triangle_circles(P, shape)
             oracle.similar_triangles_bruteforce(P, shape)
+            oracle.triangle_circles(P, shape)
 
         error = _raised(oracle_census, P, shape)
         assert error is not None

@@ -582,6 +582,14 @@ class TestCli:
         assert self.run("distances", "--points", str(ppath), "--mode", "repeated", "--d2", "2") == 0
         assert json.loads(capsys.readouterr().out)["value"] == 2
 
+    def test_distances_repeated_duplicate_points(self, tmp_path, capsys):
+        ppath = tmp_path / "dup.csv"
+        ppath.write_text(io.points_to_csv([point(0, 0, 0), point(1, 0, 0), point(1, 0, 0)]))
+        assert self.run("distances", "--points", str(ppath), "--mode", "repeated", "--d2", "1") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "validation", "message": "points must be distinct"}
+
     def test_report_fit(self, tmp_path, capsys):
         spath = tmp_path / "s.csv"
         spath.write_text("scale,observed\n8,64\n16,256\n32,1024\n")

@@ -263,6 +263,19 @@ class TestCrossings:
         plane = TriPoly({(1, 0, 0): F(1), (0, 0, 0): F(-5)})  # x = 5 at t = 8
         assert partition.crossing_census(line, _part(cyl, plane)) == 2
 
+    def test_product_with_double_root(self):
+        # along t (1, 1, 0): x = t, x + y = 2t and x^2 - 1 = t^2 - 1, so the
+        # product 2 t^2 (t^2 - 1) has a double root at 0 and is isolated on
+        # its own Sturm sequence: (-,-,+), (-,-,-), (+,+,-), (+,+,+)
+        factors = [
+            TriPoly({(1, 0, 0): F(1)}),
+            TriPoly({(1, 0, 0): F(1), (0, 1, 0): F(1)}),
+            TriPoly({(2, 0, 0): F(1), (0, 0, 0): F(-1)}),
+        ]
+        line = Line(point(0, 0, 0), (F(1), F(1), F(0)))
+        assert partition.crossing_census(line, _part(*factors)) == 4
+        assert oracle.crossing_census(line, factors) == 4
+
     def test_factors_share_a_root(self):
         # the plane x = 1 and the sphere |p|^2 = 2 meet at (1, 1, 0) on the line
         plane = TriPoly({(1, 0, 0): F(1), (0, 0, 0): F(-1)})

@@ -34,16 +34,11 @@ class TestBasics:
         # and by |lc|^1 = 2, not lc: 2x = -(1 - 2x) + 1
         assert roots._udivmod([0, 1], [1, -2]) == ([-1], [1])
 
-    def test_gcd_monic(self):
-        a = poly_from_roots([1, 2])
-        b = poly_from_roots([2, 3])
-        assert roots.ugcd(a, b) == [F(-2), F(1)]
-
-    def test_squarefree(self):
+    def test_repeated_root_isolated_once(self):
+        # (x - 1)^2 (x - 2) is isolated on its own Sturm sequence
         p = roots.umul(poly_from_roots([1, 1]), [F(-2), F(1)])
-        sf = roots.squarefree(p)
-        assert roots.udegree(sf) == 2
-        assert roots.ueval(sf, F(1)) == 0 and roots.ueval(sf, F(2)) == 0
+        (lo1, hi1), (lo2, hi2) = roots.isolate_real_roots(p)
+        assert lo1 < 1 < hi1 < lo2 < 2 < hi2
 
 
 class TestIsolation:
@@ -168,14 +163,13 @@ class TestFractionOracleDifferential:
     @given(root_polys(), st.integers(1, 12))
     def test_integer_samples_and_signs(self, p, scale):
         # the int path takes any positive multiple, and its pairs are the
-        # wrapper's sample points, where sign_at agrees with the oracle
+        # wrapper's sample points, where the integer sign agrees with the oracle
         ints, _ = clear_denominators(p)
         samples = roots._samples([scale * c for c in ints])
         assert [F(a, 1 << k) for a, k in samples] == roots.sample_points_between_roots(p)
         for a, k in samples:
             v = oracle.ueval(p, F(a, 1 << k))
-            assert roots.sign_at(ints, F(a, 1 << k)) == (v > 0) - (v < 0) != 0
-            assert (roots._hvalue(ints, a, k) > 0) == (v > 0)
+            assert v != 0 and (roots._hvalue(ints, a, k) > 0) == (v > 0)
 
 
 class TestRootBound:
