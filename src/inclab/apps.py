@@ -53,9 +53,11 @@ def distinct_distances(P: Sequence[Point3]) -> int:
 
 
 def bipartite_distinct_distances(P1: Sequence[Point3], P2: Sequence[Point3]) -> int:
-    """Distinct squared distances over P1 x P2."""
+    """Distinct squared distances over disjoint P1 x P2."""
     if not P1 or not P2:
         raise ValidationError("both point sets must be nonempty")
+    if not set(P1).isdisjoint(P2):
+        raise ValidationError("P1 and P2 must be disjoint")
     return len({dist2(p, q) for p in P1 for q in P2})
 
 

@@ -207,15 +207,13 @@ def eval_bound(f: BoundFormula) -> float:
     return value
 
 
-def verify_instance(
-    observed: int, f: BoundFormula, threshold: float = FLAG_THRESHOLD
-) -> BoundReport:
+def verify_instance(observed: int, f: BoundFormula) -> BoundReport:
     """Ratio report of an exact count against a bound shape; a raised flag
     is a finding to inspect, not a failure, since constants are unknown.
 
-    An upper bound flags ratio > threshold, a lower bound (the distinct
-    distance counts) ratio < 1 / threshold; a formula with no sense, the
-    degree schedule, raises `ValidationError`."""
+    An upper bound flags ratio > FLAG_THRESHOLD, a lower bound (the
+    distinct distance counts) ratio < 1 / FLAG_THRESHOLD; a formula with
+    no sense, the degree schedule, raises `ValidationError`."""
     if observed < 0:
         raise ValidationError("observed count must be >= 0")
     value = eval_bound(f)
@@ -223,7 +221,7 @@ def verify_instance(
     if sense is None:
         raise ValidationError(f"{f.name} is not a count bound; nothing to verify")
     ratio = observed / value if value > 0 else float("inf")
-    flag = ratio < 1 / threshold if sense == LOWER else ratio > threshold
+    flag = ratio < 1 / FLAG_THRESHOLD if sense == LOWER else ratio > FLAG_THRESHOLD
     return BoundReport(f.name, sense, observed, value, ratio, flag)
 
 
@@ -233,6 +231,8 @@ def fit_exponent(series: Sequence[tuple[int, int]]) -> tuple[float, float, float
     if len(series) < 3:
         raise InsufficientData("need at least 3 series points")
     scales = [s for s, _ in series]
+    if any(s <= 0 for s in scales):
+        raise ValidationError("scales must be positive")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ValidationError("scales must be strictly increasing")
     if any(obs <= 0 for _, obs in series):

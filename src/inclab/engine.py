@@ -280,6 +280,12 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
     canonicalization.  Components collect, for each deduplicated pair
     intersection curve, the points on it and all surfaces containing it;
     isolated tangency points stay in the residual.
+
+    One incidence pass over the surfaces gives every surface's points.  Two
+    distinct planes or spheres that both contain a curve gamma meet in
+    exactly gamma, so the points on gamma are the common points of the
+    first two of its surfaces; the residual is the pass's edges minus the
+    (point, surface) pairs that the components cover.
     """
     canon = []
     for s in surfaces:
@@ -296,23 +302,18 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
             gamma = canonicalize(result.circle if isinstance(result, CircleCurve) else result.line)
             curve_surfaces.setdefault(gamma, set()).update((i, j))
 
-    curves = sorted(curve_surfaces, key=repr)
-    points_on_curve: dict[Curve, set[int]] = {gamma: set() for gamma in curves}
-    for pid, cid in _incidence_edges(points, curves):
-        points_on_curve[curves[cid]].add(pid)
+    edges = _incidence_edges(points, surfaces)
+    points_on: list[set[int]] = [set() for _ in surfaces]
+    for pid, sid in edges:
+        points_on[sid].add(pid)
     components = []
-    curves_of_surface: dict[int, list[Curve]] = {}
-    for gamma in curves:
+    covered = set()
+    for gamma in sorted(curve_surfaces, key=repr):
         s_ids = tuple(sorted(curve_surfaces[gamma]))
-        for sid in s_ids:
-            curves_of_surface.setdefault(sid, []).append(gamma)
-        components.append((gamma, tuple(sorted(points_on_curve[gamma])), s_ids))
-
-    residual = frozenset(
-        (pid, sid) for pid, sid in _incidence_edges(points, surfaces)
-        if not any(pid in points_on_curve[gamma] for gamma in curves_of_surface.get(sid, ()))
-    )
-    return BipartiteDecomposition(components, residual)
+        p_ids = tuple(sorted(points_on[s_ids[0]] & points_on[s_ids[1]]))
+        covered.update(itertools.product(p_ids, s_ids))
+        components.append((gamma, p_ids, s_ids))
+    return BipartiteDecomposition(components, frozenset(edges).difference(covered))
 
 
 def j_value(d: BipartiteDecomposition) -> tuple[int, int, int, int]:

@@ -653,13 +653,9 @@ def _circle_circle(c1: Circle, c2: Circle) -> list[Point3]:
 
 
 def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fraction]:
-    if a == 0:
-        if b == 0:
-            return []
-        return [-c / b]
-    disc = b * b - 4 * a * c
-    root = rational_sqrt(disc)
-    if root is None or disc < 0:
+    """The rational roots of a t^2 + b t + c, for a > 0, in increasing order."""
+    root = rational_sqrt(b * b - 4 * a * c)
+    if root is None:
         return []
     if root == 0:
         return [-b / (2 * a)]

@@ -17,15 +17,16 @@ once.  Any other array (a wrong length, a non-string entry, a nested array)
 is parsed on every occurrence and raises `ValidationError` every time.  The
 tables live only for that call.
 
-Writing is the mirror image and keeps every byte of the `csv` and `json`
-writers it replaces.  `format_rational` reads the numerator and denominator
-of a `Fraction` or int as they are.  `objects_to_json` formats each
-distinct centre or origin `Point3` once per call, keyed by identity, so a
-distance-sphere file formats each shared centre once, not once per radius.
-`points_to_csv` joins `x,y,z` lines itself, since a rational never needs
-CSV quoting.  Every JSON file and CLI payload goes through `dumps_json`:
-a tree of str, int, list and str-keyed dict is written by a small
-recursive writer, byte for byte
+Writing keeps every byte of the `csv` and `json` writers it replaces.
+`format_rational` reads the numerator and denominator of a `Fraction` or
+int as they are.  `objects_to_json` writes each object's record
+(`object_to_record`) on its own, so a centre shared by many spheres is
+formatted once per sphere; a table of formatted centres saved about a
+tenth of the time to write a distance-sphere file, under 1% of the time
+to generate it.  `points_to_csv` joins `x,y,z` lines itself, since a rational never
+needs CSV quoting.  Every JSON file and CLI payload goes through
+`dumps_json`: a tree of str, int, list and str-keyed dict is written by a
+small recursive writer, byte for byte
 `json.dumps(v, indent=2, sort_keys=True) + "\n"`, and any other value
 (bool, None, float, a dict with other keys) by `json.dumps` itself.
 `atomic_write` writes the UTF-8 bytes to a temporary file in the target's
@@ -149,17 +150,12 @@ def _point_field(p: Point3) -> list[str]:
 
 
 def object_to_record(obj) -> dict:
-    return _object_to_record(obj, _point_field)
-
-
-def _object_to_record(obj, point) -> dict:
-    """The JSON record of an object; `point` formats a centre or origin."""
     if isinstance(obj, Plane):
         return {"kind": "plane", "coeffs": [format_rational(c) for c in (obj.a, obj.b, obj.c, obj.d)]}
     if isinstance(obj, Sphere):
         return {
             "kind": "sphere",
-            "center": point(obj.center),
+            "center": _point_field(obj.center),
             "radius2": format_rational(obj.radius2),
         }
     if isinstance(obj, Implicit):
@@ -167,13 +163,13 @@ def _object_to_record(obj, point) -> dict:
     if isinstance(obj, Line):
         return {
             "kind": "line",
-            "origin": point(obj.origin),
+            "origin": _point_field(obj.origin),
             "direction": [format_rational(c) for c in obj.direction],
         }
     if isinstance(obj, Circle):
         return {
             "kind": "circle",
-            "center": point(obj.center),
+            "center": _point_field(obj.center),
             "normal": [format_rational(c) for c in obj.normal],
             "radius2": format_rational(obj.radius2),
         }
@@ -249,17 +245,7 @@ def _object_from_record(rec: dict, parse, point):
 
 
 def objects_to_json(objects: Sequence) -> str:
-    """The objects file; each distinct centre or origin object is formatted
-    once, through an identity table that lives for the call."""
-    fields: dict[int, list[str]] = {}
-
-    def point(p: Point3) -> list[str]:
-        found = fields.get(id(p))
-        if found is None:
-            found = fields[id(p)] = _point_field(p)
-        return found
-
-    return dumps_json([_object_to_record(o, point) for o in objects])
+    return dumps_json([object_to_record(o) for o in objects])
 
 
 def objects_from_json(text: str) -> list:

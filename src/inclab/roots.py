@@ -7,12 +7,11 @@ rational lists (ints or Fractions), which `geom.clear_denominators` clears
 to ints.  Isolation uses one method: the Sturm sequence of p itself (p, its
 derivative and their negated pseudo-remainders, scaled by |lc|^(delta+1)
 so that no sign flips and divided by their content at each step), with
-bisection from a power-of-two root bound, the smaller of Fujiwara's (read
-off the coefficients' bit lengths) and Cauchy's.  p need not be
-squarefree: every entry of its sequence is g = gcd(p, p') times the
-matching entry of the Sturm sequence of p / g, and g is nonzero wherever p
-is, so at two non-roots a < b the sign changes V(a) - V(b) count the
-distinct roots of p in (a, b).
+bisection from Fujiwara's power-of-two root bound, read off the
+coefficients' bit lengths.  p need not be squarefree: every entry of its
+sequence is g = gcd(p, p') times the matching entry of the Sturm sequence
+of p / g, and g is nonzero wherever p is, so at two non-roots a < b the
+sign changes V(a) - V(b) count the distinct roots of p in (a, b).
 Every point is a dyadic pair (a, k) meaning a / 2^k, and every sign comes
 from homogenized Horner in ints with shifts (`_hvalue`).  `_samples`
 takes an integer polynomial and returns its sample points as such pairs,
@@ -159,26 +158,20 @@ def _split(seq: list[list[int]], lo: tuple[int, int],
 
 def _bound_exponent(p: list[int]) -> int:
     """An e with every root of the integer polynomial p strictly inside
-    (-2^e, 2^e): the smaller of two power-of-two root bounds.
+    (-2^e, 2^e), from Fujiwara's bound.
 
-    Fujiwara: every root has |x| < 2 max_i |c_(n-i) / lc|^(1/i), and
-    |c / lc| < 2^(bitlen|c| - bitlen|lc| + 1), so e may be 1 plus the
+    Every root has |x| < 2 max_i |c_(n-i) / lc|^(1/i), and
+    |c / lc| < 2^(bitlen|c| - bitlen|lc| + 1), so e is 1 plus the
     largest of 0 and ceil((bitlen|c_(n-i)| - bitlen|lc| + 1) / i) over the
-    nonzero c_(n-i).  Cauchy: every root has |x| < 1 + M with
-    M = max |c_i| / |lc|, and 1 + M <= 1 + ceil(M) <= 2^bitlen(ceil(M)).
-    Cauchy is the tighter one when the largest |c / lc| is that of
-    c_(n-1), as in many low-degree products; Fujiwara when it is that of a
-    low power, whose i-th root is far smaller."""
-    lc = abs(p[-1])
-    top = lc.bit_length() - 1
+    nonzero c_(n-i)."""
+    top = abs(p[-1]).bit_length() - 1
     e = 0
     for i, c in enumerate(reversed(p[:-1]), 1):
         if c:
             f = (abs(c).bit_length() - top + i - 1) // i  # the ceiling, in ints
             if f > e:
                 e = f
-    cauchy = (-(-max(map(abs, p[:-1]), default=0) // lc)).bit_length()
-    return e + 1 if e < cauchy else cauchy
+    return e + 1
 
 
 def _isolate(seq: list[list[int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:

@@ -96,6 +96,12 @@ class TestDistances:
             [point(0, 0, 0)], [point(1, 0, 0), point(0, 2, 0)]
         ) == 2
 
+    def test_bipartite_rejects_overlap(self):
+        # the shared point would count the zero distance
+        O, A = point(0, 0, 0), point(1, 0, 0)
+        with pytest.raises(ValidationError, match="P1 and P2 must be disjoint"):
+            apps.bipartite_distinct_distances([O], [O, A])
+
     def test_bipartite_matches_t(self):
         P1 = [point(1, 0, 0), point(0, 2, 0)]
         P2 = [point(0, 0, 3), point(4, 4, 4)]

@@ -170,3 +170,11 @@ class TestFit:
     def test_non_increasing_scales(self):
         with pytest.raises(ValidationError):
             bounds.fit_exponent([(4, 1), (2, 4), (8, 9)])
+
+    @pytest.mark.parametrize("series", [
+        [(0, 1), (1, 2), (2, 3)],
+        [(-2, 1), (-1, 2), (1, 3)],
+    ])
+    def test_non_positive_scales(self, series):
+        with pytest.raises(ValidationError, match="scales must be positive"):
+            bounds.fit_exponent(series)

@@ -367,6 +367,37 @@ class TestWriterDifferential:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "kept.txt"]
 
 
+_O, _A = point(0, 0, 0), point(1, 0, 0)
+# (files written to the test's directory, argv with {dir} for that
+# directory, a piece of the validation message)
+BAD_INPUTS = {
+    "report-fit-zero-scale": (
+        {"s.csv": "scale,observed\n0,1\n1,2\n2,3\n"},
+        ["report", "--series", "{dir}/s.csv", "--fit"], "scales must be positive"),
+    "bipartite-overlap": (
+        {"p1.csv": io.points_to_csv([_O]), "p2.csv": io.points_to_csv([_O, _A])},
+        ["distances", "--points", "{dir}/p1.csv", "--points2", "{dir}/p2.csv",
+         "--mode", "bipartite"], "P1 and P2 must be disjoint"),
+    "bipartite-without-points2": (
+        {"p1.csv": io.points_to_csv([_O])},
+        ["distances", "--points", "{dir}/p1.csv", "--mode", "bipartite"],
+        "bipartite mode needs --points2"),
+    "triangles-one-shape-field": (
+        {"p.csv": io.points_to_csv([_O, _A, point(0, 1, 0)])},
+        ["triangles", "--points", "{dir}/p.csv", "--shape", "1"], "--shape expects rho1,rho2"),
+    "verify-param-without-value": (
+        {}, ["verify", "--formula", "lines_GK", "--params", "m4", "--observed", "3"],
+        "bad --params entry"),
+    "report-one-field-row": (
+        {"s.csv": "scale,observed\n8\n"}, ["report", "--series", "{dir}/s.csv"],
+        "series row needs scale,observed"),
+    "unit-spheres-duplicate-points": (
+        {"p.csv": io.points_to_csv([_O, _A, _O])},
+        ["generate", "unit-spheres", "--points", "{dir}/p.csv", "--out-prefix", "{dir}/u"],
+        "points must be distinct"),
+}
+
+
 class TestCli:
     def run(self, *argv):
         return cli.main(list(argv))
@@ -581,6 +612,27 @@ class TestCli:
         ppath.write_text(io.points_to_csv(pts))
         assert self.run("distances", "--points", str(ppath), "--mode", "repeated", "--d2", "2") == 0
         assert json.loads(capsys.readouterr().out)["value"] == 2
+
+    def test_distances_bipartite(self, tmp_path, capsys):
+        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        p1.write_text(io.points_to_csv([_O]))
+        p2.write_text(io.points_to_csv([_A, point(0, 2, 0), point(0, 0, -1)]))
+        assert self.run(
+            "distances", "--points", str(p1), "--points2", str(p2), "--mode", "bipartite"
+        ) == 0
+        assert json.loads(capsys.readouterr().out) == {"mode": "bipartite", "value": 2}
+
+    @pytest.mark.parametrize("files, argv, message", BAD_INPUTS.values(), ids=BAD_INPUTS)
+    def test_bad_input_exits_1_with_record(self, tmp_path, capsys, files, argv, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert self.run(*(a.format(dir=tmp_path) for a in argv)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "validation" and message in record["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
     def test_distances_repeated_duplicate_points(self, tmp_path, capsys):
         ppath = tmp_path / "dup.csv"

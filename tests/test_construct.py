@@ -75,6 +75,30 @@ class TestPacking:
         assert count == 48
         assert len(set(packed.points)) == 3 * len(inst.points)
 
+    @pytest.mark.parametrize("make, base, copies", [
+        # parabolas of y = a x + b lifted to z = x^2 + y^2, two quadrics on each
+        (lambda: construct.gen_paraboloid_lift(
+            [(a, b) for a in (1, 2) for b in range(1, 5)], [(1, 0, 0), (0, 1, 1)],
+            [(x, y) for x in range(4) for y in range(1, 5)],
+        ), 48, 3),
+        # a plane, a sphere and their common circle through shared points
+        (lambda: construct.Instance(
+            [point(3, 4, 0), point(5, 0, 0), point(0, 0, 5)],
+            curves=[Circle(point(0, 0, 0), (0, 0, 1), 25)],
+            surfaces=[geom.Plane(0, 0, 1, 0), Sphere(point(0, 0, 0), 25)],
+        ), 7, 4),
+    ], ids=["paraboloid-lift", "plane-sphere-circle"])
+    def test_copies_of_every_object_kind(self, make, base, copies):
+        inst = make()
+        objects = inst.curves + inst.surfaces
+        assert engine.count_incidences(inst.points, objects)[0] == base
+        packed = construct.gen_packing_copies(inst, copies, seed=0)
+        packed_objects = packed.curves + packed.surfaces
+        assert engine.count_incidences(packed.points, packed_objects)[0] == copies * base
+        assert len(set(packed.points)) == copies * len(inst.points)
+        canon = {repr(geom.canonicalize(o)) for o in packed_objects}
+        assert len(canon) == len(packed_objects) == copies * len(objects)
+
 
 class TestVarietyPoints:
     def test_sphere_membership(self):

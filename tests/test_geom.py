@@ -237,6 +237,48 @@ class TestCurveIntersections:
         assert geom.curve_pair_intersection(ln, c) == []
 
 
+Z_AXIS = (F(0), F(0), F(1))
+CIRCLE_25 = Circle(point(0, 0, 0), Z_AXIS, F(25))  # x^2 + y^2 = 25, z = 0
+
+
+def _meet(c1, c2):
+    """The common points of two curves, sorted, each checked on both."""
+    pts = sorted(geom.curve_pair_intersection(c1, c2), key=Point3.as_tuple)
+    assert all(geom.point_on_curve(p, c) for p in pts for c in (c1, c2))
+    return pts
+
+
+class TestCurveIntersectionBranches:
+    @pytest.mark.parametrize("origin, want", [
+        (point(3, 4, -2), [point(3, 4, 0)]),  # crosses the plane on the circle
+        (point(1, 1, -2), []),  # crosses it inside the circle
+    ])
+    def test_line_crossing_circle_plane(self, origin, want):
+        assert _meet(Line(origin, (F(0), F(0), F(1))), CIRCLE_25) == want
+
+    def test_line_parallel_off_plane(self):
+        assert _meet(Line(point(0, 0, 1), (F(1), F(0), F(0))), CIRCLE_25) == []
+
+    def test_tangent_line_in_plane(self):
+        assert _meet(Line(point(-7, 5, 0), (F(1), F(0), F(0))), CIRCLE_25) == [point(0, 5, 0)]
+
+    def test_circle_line_order(self):
+        ln = Line(point(0, 4, 0), (F(1), F(0), F(0)))
+        assert _meet(CIRCLE_25, ln) == _meet(ln, CIRCLE_25) == [point(-3, 4, 0), point(3, 4, 0)]
+
+    def test_circles_in_crossing_planes(self):
+        # x = 0, y^2 + z^2 = 25 and z = 3, x^2 + y^2 = 16
+        c1 = Circle(point(0, 0, 0), (F(1), F(0), F(0)), F(25))
+        c2 = Circle(point(0, 0, 3), Z_AXIS, F(16))
+        assert _meet(c1, c2) == _meet(c2, c1) == [point(0, -4, 3), point(0, 4, 3)]
+
+    def test_circles_in_parallel_planes(self):
+        assert _meet(CIRCLE_25, Circle(point(0, 0, 1), Z_AXIS, F(25))) == []
+
+    def test_concentric_coplanar_circles(self):
+        assert _meet(CIRCLE_25, Circle(point(0, 0, 0), Z_AXIS, F(16))) == []
+
+
 class TestMembership:
     def test_point_on_sphere(self):
         s = Sphere(point(0, 0, 0), F(25))
