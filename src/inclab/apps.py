@@ -19,19 +19,17 @@ one scale L for the whole shape (`_apex_circles`).  The incidences and the
 coplanar/cospherical maximum are computed on that frame
 (`engine._centred_edges`, `engine._cospherical_max`); a circle whose W / L
 is not an integer holds no point and is skipped.  The circle count and the
-multiplicities are read off the same integer table.  `Circle` witnesses are
-built on first access of `TriangleCensus.circles`, so `inclab triangles`,
-which reports only those numbers, builds none.  Each incidence (r, circle
+multiplicities are read off the same integer table, and the census builds
+no `Circle`; `triangle_circles` lists the circles.  Each incidence (r, circle
 of (p, q)) gives the triangle {p, q, r}, so the triangles are counted from
 the incidences, not by a search over all triples.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -113,23 +111,14 @@ class TriangleCensus:
     """`count_bruteforce` is the number of similar triangles.  It is counted
     from the incidences and equals `similar_triangles_bruteforce`; the name
     is the CLI output key.  `multiplicities` holds one entry per apex
-    circle, the number of ordered pairs producing it, in no set order.
-
-    `circles` lists the circles with their multiplicities, sorted by repr.
-    Its `Circle` witnesses are built on first access, from the integer
-    table the census was counted on; `inclab triangles` reads only the
-    multiplicities and builds none."""
+    circle, the number of ordered pairs producing it, in no set order;
+    `triangle_circles` lists the circles themselves."""
 
     count_bruteforce: int
     multiplicities: list[int]
     incidences: int
     cospherical_coplanar_max: int
     flags: list[str]
-    _apex: _ApexTable = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def circles(self) -> list[tuple[Circle, int]]:
-        return _circle_witnesses(self._apex)
 
 
 def shape_from_points(a: Point3, b: Point3, c: Point3) -> TriangleShape:
@@ -237,8 +226,12 @@ def _apex_circles(P: Sequence[Point3], shape: TriangleShape) -> _ApexTable:
     )
 
 
-def _circle_witnesses(apex: _ApexTable) -> list[tuple[Circle, int]]:
-    """The table's circles as (`Circle`, multiplicity), sorted by repr."""
+def triangle_circles(
+    P: Sequence[Point3], shape: TriangleShape
+) -> list[tuple[Circle, int]]:
+    """Apex-locus circles over all ordered pairs of P, deduplicated, each
+    with the number of ordered pairs producing it, sorted by repr."""
+    apex = _apex_circles(P, shape)
     den = apex.den
     radius_factor = Fraction(apex.w, apex.scale * den * den)
     circles = [
@@ -254,14 +247,6 @@ def _circle_witnesses(apex: _ApexTable) -> list[tuple[Circle, int]]:
     ]
     circles.sort(key=lambda item: repr(item[0]))
     return circles
-
-
-def triangle_circles(
-    P: Sequence[Point3], shape: TriangleShape
-) -> list[tuple[Circle, int]]:
-    """Apex-locus circles over all ordered pairs of P, deduplicated, each
-    with the number of ordered pairs producing it."""
-    return _circle_witnesses(_apex_circles(P, shape))
 
 
 def similar_triangles_via_incidences(
@@ -296,4 +281,4 @@ def similar_triangles_via_incidences(
         flags.append("triangle count exceeds two thirds of the incidence count")
     if q_max > 2 * len(P):
         flags.append("coplanar/cospherical circle count exceeds 2n")
-    return TriangleCensus(count, multiplicities, incidences, q_max, flags, apex)
+    return TriangleCensus(count, multiplicities, incidences, q_max, flags)

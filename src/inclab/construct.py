@@ -92,6 +92,8 @@ def gen_paraboloid_lift(
         lift_surface(a, b, *w) for (a, b) in params for w in witnesses
     ]
     pts = [lift_point(x, y) for x, y in planar_points]
+    if len(set(pts)) != len(pts):
+        raise ValidationError("points must be distinct")
     return Instance(pts, curves=curves, surfaces=surfaces)
 
 
@@ -121,9 +123,13 @@ def gen_packing_copies(template: Instance, copies: int, seed: int) -> Instance:
     and objects and no cross incidences appear (incidences scale exactly)."""
     if copies < 1:
         raise ValidationError("copies must be >= 1")
-    base_count, _ = engine.count_incidences(
-        template.points, template.curves + template.surfaces
-    )
+    # a repeat in the template repeats in every packing: no reseed helps
+    if len(set(template.points)) != len(template.points):
+        raise ValidationError("template points must be distinct")
+    objects = template.curves + template.surfaces
+    if len({repr(canonicalize(o)) for o in objects}) != len(objects):
+        raise ValidationError("template objects must be distinct")
+    base_count, _ = engine.count_incidences(template.points, objects)
     for attempt in range(16):
         rng = random.Random(f"{seed}:{attempt}")
         pts: list[Point3] = []

@@ -51,9 +51,7 @@ from .errors import (
 from .geom import (
     Circle,
     Curve,
-    CircleCurve,
     Line,
-    LineCurve,
     Plane,
     Point3,
     Sphere,
@@ -298,9 +296,8 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
     curve_surfaces: dict[Curve, set[int]] = {}
     for i, j in itertools.combinations(range(len(surfaces)), 2):
         result = surface_pair_intersection(surfaces[i], surfaces[j])
-        if isinstance(result, (CircleCurve, LineCurve)):
-            gamma = canonicalize(result.circle if isinstance(result, CircleCurve) else result.line)
-            curve_surfaces.setdefault(gamma, set()).update((i, j))
+        if isinstance(result, (Circle, Line)):
+            curve_surfaces.setdefault(canonicalize(result), set()).update((i, j))
 
     edges = _incidence_edges(points, surfaces)
     points_on: list[set[int]] = [set() for _ in surfaces]

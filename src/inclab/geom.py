@@ -405,44 +405,6 @@ Curve = Union[Line, Circle, ImplicitPair]
 
 
 # ---------------------------------------------------------------------------
-# intersection results
-
-@dataclass(frozen=True)
-class EmptySet:
-    pass
-
-
-@dataclass(frozen=True)
-class SinglePoint:
-    point: Point3
-
-
-@dataclass(frozen=True)
-class CircleCurve:
-    circle: Circle
-
-
-@dataclass(frozen=True)
-class LineCurve:
-    line: Line
-
-
-@dataclass(frozen=True)
-class CoincidentSurfaces:
-    pass
-
-
-@dataclass(frozen=True)
-class Unsupported:
-    pass
-
-
-IntersectionResult = Union[
-    EmptySet, SinglePoint, CircleCurve, LineCurve, CoincidentSurfaces, Unsupported
-]
-
-
-# ---------------------------------------------------------------------------
 # canonical forms
 
 def canonicalize(obj):
@@ -502,9 +464,15 @@ def point_on_curve(p: Point3, curve: Curve) -> bool:
 # ---------------------------------------------------------------------------
 # surface-pair intersections (closed forms)
 
-def surface_pair_intersection(s1: Surface, s2: Surface) -> IntersectionResult:
+def surface_pair_intersection(s1: Surface, s2: Surface) -> Union[Circle, Line, Point3, None]:
+    """The common points of two planes or spheres: a `Circle`, a `Line`, the
+    `Point3` where they touch, or None when they do not meet.
+
+    Raises UnsupportedObject for implicit surfaces and CoincidentObjects when
+    the surfaces are equal, as `curve_pair_intersection` does for curves.
+    """
     if isinstance(s1, Implicit) or isinstance(s2, Implicit):
-        return Unsupported()
+        raise UnsupportedObject("implicit surface intersections are not supported")
     if isinstance(s1, Plane) and isinstance(s2, Plane):
         return _plane_plane(s1, s2)
     if isinstance(s1, Plane) and isinstance(s2, Sphere):
@@ -514,12 +482,12 @@ def surface_pair_intersection(s1: Surface, s2: Surface) -> IntersectionResult:
     return _sphere_sphere(s1, s2)
 
 
-def _plane_plane(p1: Plane, p2: Plane) -> IntersectionResult:
+def _plane_plane(p1: Plane, p2: Plane) -> Optional[Line]:
     direction = cross(p1.normal(), p2.normal())
     if is_zero_vec(direction):
         if canonicalize(p1) == canonicalize(p2):
-            return CoincidentSurfaces()
-        return EmptySet()
+            raise CoincidentObjects("surfaces coincide")
+        return None
     # Fix the coordinate matching a nonzero direction component to zero and
     # solve the remaining 2x2 system (its determinant is that component).
     k = next(i for i in range(3) if direction[i] != 0)
@@ -533,38 +501,38 @@ def _plane_plane(p1: Plane, p2: Plane) -> IntersectionResult:
     v = (a11 * r2 - a21 * r1) / det
     coords = [Fraction(0)] * 3
     coords[idx[0]], coords[idx[1]] = u, v
-    return LineCurve(Line(Point3(*coords), direction))
+    return Line(Point3(*coords), direction)
 
 
-def _plane_sphere(pl: Plane, sp: Sphere) -> IntersectionResult:
+def _plane_sphere(pl: Plane, sp: Sphere) -> Union[Circle, Point3, None]:
     n = pl.normal()
     c = sp.center.as_tuple()
     lam = (dot(n, c) + pl.d) / norm2(n)
     foot = Point3(*vsub(c, vscale(lam, n)))
     radius2 = sp.radius2 - lam * lam * norm2(n)
     if radius2 > 0:
-        return CircleCurve(Circle(foot, primitive_vector(n), radius2))
+        return Circle(foot, primitive_vector(n), radius2)
     if radius2 == 0:
-        return SinglePoint(foot)
-    return EmptySet()
+        return foot
+    return None
 
 
-def _sphere_sphere(s1: Sphere, s2: Sphere) -> IntersectionResult:
+def _sphere_sphere(s1: Sphere, s2: Sphere) -> Union[Circle, Point3, None]:
     c1, c2 = s1.center.as_tuple(), s2.center.as_tuple()
     axis = vsub(c2, c1)
     d2 = norm2(axis)
     if d2 == 0:
         if s1.radius2 == s2.radius2:
-            return CoincidentSurfaces()
-        return EmptySet()
+            raise CoincidentObjects("surfaces coincide")
+        return None
     t = (d2 + s1.radius2 - s2.radius2) / (2 * d2)
     center = Point3(*vadd(c1, vscale(t, axis)))
     radius2 = s1.radius2 - t * t * d2
     if radius2 > 0:
-        return CircleCurve(Circle(center, primitive_vector(axis), radius2))
+        return Circle(center, primitive_vector(axis), radius2)
     if radius2 == 0:
-        return SinglePoint(center)
-    return EmptySet()
+        return center
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -628,28 +596,22 @@ def _line_circle(line: Line, circle: Circle) -> list[Point3]:
 
 
 def _circle_circle(c1: Circle, c2: Circle) -> list[Point3]:
-    # Any common point lies on both supporting planes and on the radical
-    # plane of the two center-spheres; reduce to a line-circle problem.
+    # Every common point lies on c1's plane and on a second plane: c2's, or,
+    # when c2 lies in c1's plane, the radical plane |x - a1|^2 - r1^2 =
+    # |x - a2|^2 - r2^2 of the circles' centre spheres.  The two planes meet
+    # in a line; its points on c1 that are also on c2 are the answer.
     p1, p2 = c1.plane(), c2.plane()
-    planes = _plane_plane(p1, p2)
-    if isinstance(planes, LineCurve):
-        pts = _line_circle(planes.line, c1)
-        return [p for p in pts if point_on_curve(p, c2)]
-    if isinstance(planes, EmptySet):
-        return []
-    # coplanar circles: intersect the radical plane of the two defining
-    # spheres (center, radius2) with the shared supporting plane
-    a1, a2 = c1.center.as_tuple(), c2.center.as_tuple()
-    normal = vsub(a2, a1)
-    if is_zero_vec(normal):
-        return []  # concentric coplanar, distinct radii
-    rhs = (norm2(a2) - norm2(a1) + c1.radius2 - c2.radius2) / 2
-    radical = Plane(normal[0], normal[1], normal[2], -rhs)
-    line = _plane_plane(radical, p1)
-    if not isinstance(line, LineCurve):
-        return []
-    pts = _line_circle(line.line, c1)
-    return [p for p in pts if point_on_curve(p, c2)]
+    if surface_contains_curve(p1, c2):
+        a1, a2 = c1.center.as_tuple(), c2.center.as_tuple()
+        normal = vsub(a2, a1)
+        if is_zero_vec(normal):
+            return []  # concentric coplanar, distinct radii
+        rhs = (norm2(a2) - norm2(a1) + c1.radius2 - c2.radius2) / 2
+        p2 = Plane(normal[0], normal[1], normal[2], -rhs)
+    line = _plane_plane(p1, p2)
+    if line is None:
+        return []  # parallel planes
+    return [p for p in _line_circle(line, c1) if point_on_curve(p, c2)]
 
 
 def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fraction]:

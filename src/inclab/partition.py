@@ -94,7 +94,6 @@ def plan_degree(m: int, n: int, k: int, a=1, a_prime=1, c=1) -> DegreePlan:
 @dataclass
 class PartitionPolynomial:
     round_factors: list[TriPoly]
-    rounds: int
     delta: Fraction
     seed: int
 
@@ -273,7 +272,7 @@ def build_partition(
                 (neg if 2 * values[pid] < theta else pos).append(pid)
             new_cells.extend(side for side in (neg, pos) if side)
         cells = new_cells
-    return PartitionPolynomial(factors, t, delta, seed)
+    return PartitionPolynomial(factors, delta, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def crossing_census(line: Line, part: PartitionPolynomial) -> int:
 
 def partition_to_jsonable(part: PartitionPolynomial) -> dict:
     return {
-        "rounds": part.rounds,
+        "rounds": len(part.round_factors),
         "delta": str(part.delta),
         "seed": part.seed,
         "factors": [io.tripoly_to_record(f) for f in part.round_factors],
@@ -369,7 +368,11 @@ def partition_to_jsonable(part: PartitionPolynomial) -> dict:
 
 
 def partition_from_jsonable(data: dict) -> PartitionPolynomial:
-    return PartitionPolynomial(
-        [io.tripoly_from_record(f) for f in data["factors"]],
-        int(data["rounds"]), Fraction(data["delta"]), int(data["seed"]),
-    )
+    try:
+        factors, rounds = data["factors"], int(data["rounds"])
+        delta, seed = Fraction(data["delta"]), int(data["seed"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad partition record: {exc!r}") from exc
+    if not isinstance(factors, list) or len(factors) != rounds:
+        raise ValidationError(f"partition record needs one factor per round, {rounds} rounds")
+    return PartitionPolynomial([io.tripoly_from_record(f) for f in factors], delta, seed)

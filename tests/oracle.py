@@ -19,7 +19,10 @@ are the references of `io.parse_rational`, `io.points_from_csv` and
 `io.objects_from_json`; the writers through `Fraction(x)`, `csv.writer` and
 `json.dumps` are the references of `io.format_rational`,
 `io.points_to_csv` and `io.objects_to_json`, and the `Fraction` distance
-loop is the reference of `construct.gen_distance_spheres`.
+loop is the reference of `construct.gen_distance_spheres`.  The
+two-branch circle-circle intersection, one branch for circles in distinct
+planes and one for circles in a shared plane, is the reference of
+`geom.curve_pair_intersection` on circle pairs.
 """
 
 from __future__ import annotations
@@ -39,12 +42,10 @@ from inclab.engine import BipartiteDecomposition
 from inclab.errors import CoincidentObjects, UnsupportedObject, ValidationError
 from inclab.geom import (
     Circle,
-    CircleCurve,
     Curve,
     Implicit,
     ImplicitPair,
     Line,
-    LineCurve,
     Plane,
     Point3,
     Sphere,
@@ -108,9 +109,8 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
     curve_surfaces: dict[Curve, set[int]] = {}
     for i, j in itertools.combinations(range(len(surfaces)), 2):
         result = surface_pair_intersection(surfaces[i], surfaces[j])
-        if isinstance(result, (CircleCurve, LineCurve)):
-            gamma = canonicalize(result.circle if isinstance(result, CircleCurve) else result.line)
-            curve_surfaces.setdefault(gamma, set()).update((i, j))
+        if isinstance(result, (Circle, Line)):
+            curve_surfaces.setdefault(canonicalize(result), set()).update((i, j))
 
     components = []
     curves_of_surface: dict[int, list[Curve]] = {}
@@ -569,10 +569,33 @@ def triangle_circles(
     mult: dict[Circle, int] = {}
     for p, q in itertools.permutations(P, 2):
         locus = pair_locus(p, q, shape)
-        if isinstance(locus, CircleCurve):
-            gamma = canonicalize(locus.circle)
+        if isinstance(locus, Circle):
+            gamma = canonicalize(locus)
             mult[gamma] = mult.get(gamma, 0) + 1
     return sorted(mult.items(), key=lambda item: repr(item[0]))
+
+
+# ---------------------------------------------------------------------------
+# circle-circle intersection in two branches
+
+def circle_circle(c1: Circle, c2: Circle) -> list[Point3]:
+    """The common points of two distinct circles.  Circles in distinct
+    planes meet on the planes' common line.  Circles in one plane meet on
+    the line where the radical plane of their centre spheres cuts it; that
+    plane's normal a2 - a1 lies in the shared plane, so the two cross."""
+    p1, p2 = c1.plane(), c2.plane()
+    if canonicalize(p1) != canonicalize(p2):
+        line = surface_pair_intersection(p1, p2)
+        if line is None:
+            return []  # parallel planes
+        return [p for p in geom.curve_pair_intersection(line, c1) if point_on_curve(p, c2)]
+    a1, a2 = c1.center.as_tuple(), c2.center.as_tuple()
+    normal = vsub(a2, a1)
+    if is_zero_vec(normal):
+        return []  # concentric coplanar, distinct radii
+    rhs = (norm2(a2) - norm2(a1) + c1.radius2 - c2.radius2) / 2
+    line = surface_pair_intersection(Plane(normal[0], normal[1], normal[2], -rhs), p1)
+    return [p for p in geom.curve_pair_intersection(line, c1) if point_on_curve(p, c2)]
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_criterion_04_similar_triangle_pipeline():
         census = apps.similar_triangles_via_incidences(P, shape)
         assert census.count_bruteforce == apps.similar_triangles_bruteforce(P, shape)
         assert 3 * census.count_bruteforce <= 2 * census.incidences
-        assert all(m <= 2 for _, m in census.circles)
+        assert all(m <= 2 for m in census.multiplicities)
         assert census.cospherical_coplanar_max <= 2 * n
         assert census.flags == []
         if idx % 10 == 0:
@@ -194,8 +194,8 @@ def test_criterion_07_circle_axis_multiplicity():
         shared = {}
         for i, j in itertools.combinations(range(len(spheres)), 2):
             result = geom.surface_pair_intersection(spheres[i], spheres[j])
-            if isinstance(result, geom.CircleCurve):
-                shared.setdefault(geom.canonicalize(result.circle), set()).update((i, j))
+            if isinstance(result, geom.Circle):
+                shared.setdefault(geom.canonicalize(result), set()).update((i, j))
         for gamma, members in shared.items():
             mult = len(members)
             assert all(geom.surface_contains_curve(spheres[i], gamma) for i in members)

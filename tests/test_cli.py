@@ -395,6 +395,19 @@ BAD_INPUTS = {
         {"p.csv": io.points_to_csv([_O, _A, _O])},
         ["generate", "unit-spheres", "--points", "{dir}/p.csv", "--out-prefix", "{dir}/u"],
         "points must be distinct"),
+    "packing-equal-template-circles": (
+        {"p.csv": io.points_to_csv([_A]),
+         "o.json": io.objects_to_json([Circle(_O, (0, 0, 1), 1), Circle(_O, (0, 0, 2), 1)])},
+        ["generate", "packing", "--points", "{dir}/p.csv", "--objects", "{dir}/o.json",
+         "--copies", "1", "--out-prefix", "{dir}/k"], "template objects must be distinct"),
+    "packing-duplicate-template-points": (
+        {"p.csv": io.points_to_csv([_A, _A]),
+         "o.json": io.objects_to_json([Circle(_O, (0, 0, 1), 1)])},
+        ["generate", "packing", "--points", "{dir}/p.csv", "--objects", "{dir}/o.json",
+         "--copies", "2", "--out-prefix", "{dir}/k"], "template points must be distinct"),
+    "paraboloid-duplicate-points": (
+        {}, ["generate", "paraboloid", "--lines", "1:2", "--point", "0:0", "0:0",
+             "--out-prefix", "{dir}/pl"], "points must be distinct"),
 }
 
 

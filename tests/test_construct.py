@@ -213,8 +213,8 @@ class TestAxisMultiplicity:
 
         for s1, s2 in itertools.combinations(spheres, 2):
             r = geom.surface_pair_intersection(s1, s2)
-            if isinstance(r, geom.CircleCurve):
-                seen.setdefault(geom.canonicalize(r.circle), set()).update((s1, s2))
+            if isinstance(r, Circle):
+                seen.setdefault(geom.canonicalize(r), set()).update((s1, s2))
         for gamma in seen:
             mult = sum(1 for s in spheres if geom.surface_contains_curve(s, gamma))
             axis_mult = construct.circle_axis_multiplicity(gamma, P2)

@@ -413,10 +413,8 @@ class TestProjection:
 class TestCommonSphere:
     def test_two_sections_of_unit_sphere(self):
         sph = Sphere(point(0, 0, 0), F(1))
-        sections = []
-        for z in (F(1, 2), F(-1, 2)):
-            r = geom.surface_pair_intersection(Plane(F(0), F(0), F(1), -z), sph)
-            sections.append(r.circle)
+        sections = [geom.surface_pair_intersection(Plane(F(0), F(0), F(1), -z), sph)
+                    for z in (F(1, 2), F(-1, 2))]
         found = engine.common_sphere(*sections)
         assert found is not None
         assert found.center == point(0, 0, 0) and found.radius2 == 1
@@ -441,10 +439,8 @@ class TestCommonSphere:
 
     def test_coplanar_cospherical_max(self):
         sph = Sphere(point(0, 0, 0), F(1))
-        circles = []
-        for z in (F(1, 2), F(-1, 2), F(0)):
-            r = geom.surface_pair_intersection(Plane(F(0), F(0), F(1), -z), sph)
-            circles.append(r.circle)
+        circles = [geom.surface_pair_intersection(Plane(F(0), F(0), F(1), -z), sph)
+                   for z in (F(1, 2), F(-1, 2), F(0))]
         best, witness = engine.coplanar_cospherical_max(circles)
         assert best == 3
         assert isinstance(witness, Sphere)

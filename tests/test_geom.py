@@ -1,21 +1,20 @@
 import math
 from fractions import Fraction as F
 
+import oracle
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from inclab import geom
-from inclab.errors import ValidationError
+from inclab.errors import CoincidentObjects, UnsupportedObject, ValidationError
 from inclab.geom import (
     Circle,
-    CircleCurve,
-    CoincidentSurfaces,
-    EmptySet,
+    Implicit,
+    ImplicitPair,
     Line,
     Plane,
     Point3,
-    SinglePoint,
     Sphere,
     TriPoly,
     canonicalize,
@@ -152,42 +151,41 @@ class TestSurfaceIntersections:
         r = geom.surface_pair_intersection(
             Sphere(point(0, 0, 0), F(25)), Sphere(point(6, 0, 0), F(25))
         )
-        assert isinstance(r, CircleCurve)
-        assert r.circle.center == point(3, 0, 0)
-        assert r.circle.radius2 == 16
+        assert isinstance(r, Circle)
+        assert r.center == point(3, 0, 0)
+        assert r.radius2 == 16
 
     def test_sphere_sphere_tangent(self):
         r = geom.surface_pair_intersection(
             Sphere(point(0, 0, 0), F(1)), Sphere(point(2, 0, 0), F(1))
         )
-        assert isinstance(r, SinglePoint)
-        assert r.point == point(1, 0, 0)
+        assert r == point(1, 0, 0)
 
     def test_sphere_sphere_disjoint(self):
         r = geom.surface_pair_intersection(
             Sphere(point(0, 0, 0), F(1)), Sphere(point(10, 0, 0), F(1))
         )
-        assert isinstance(r, EmptySet)
+        assert r is None
 
     def test_plane_sphere_great_circle(self):
         r = geom.surface_pair_intersection(
             Plane(F(0), F(0), F(1), F(0)), Sphere(point(0, 0, 0), F(4))
         )
-        assert isinstance(r, CircleCurve)
-        assert r.circle.radius2 == 4
+        assert isinstance(r, Circle)
+        assert r.radius2 == 4
 
     def test_plane_plane_line(self):
         r = geom.surface_pair_intersection(
             Plane(F(1), F(0), F(0), F(0)), Plane(F(0), F(1), F(0), F(0))
         )
-        assert isinstance(r, geom.LineCurve)
-        assert canonicalize(r.line) == canonicalize(Line(point(0, 0, 0), (F(0), F(0), F(1))))
+        assert isinstance(r, Line)
+        assert canonicalize(r) == canonicalize(Line(point(0, 0, 0), (F(0), F(0), F(1))))
 
     def test_coincident(self):
-        r = geom.surface_pair_intersection(
-            Plane(F(1), F(1), F(0), F(2)), Plane(F(2), F(2), F(0), F(4))
-        )
-        assert isinstance(r, CoincidentSurfaces)
+        with pytest.raises(CoincidentObjects):
+            geom.surface_pair_intersection(
+                Plane(F(1), F(1), F(0), F(2)), Plane(F(2), F(2), F(0), F(4))
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(rationals, rationals, rationals)
@@ -199,8 +197,8 @@ class TestSurfaceIntersections:
         r12 = geom.surface_pair_intersection(s1, s2)
         r21 = geom.surface_pair_intersection(s2, s1)
         assert type(r12) is type(r21)
-        if isinstance(r12, CircleCurve):
-            assert canonicalize(r12.circle) == canonicalize(r21.circle)
+        if isinstance(r12, Circle):
+            assert canonicalize(r12) == canonicalize(r21)
 
 
 class TestCurveIntersections:
@@ -277,6 +275,94 @@ class TestCurveIntersectionBranches:
 
     def test_concentric_coplanar_circles(self):
         assert _meet(CIRCLE_25, Circle(point(0, 0, 0), Z_AXIS, F(16))) == []
+
+
+# pairwise non-parallel normals
+NORMALS = [(0, 0, 1), (1, 0, 0), (1, 1, 0), (1, 2, -2), (0, 3, 4)]
+OFFSETS = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@st.composite
+def circle_pairs(draw):
+    """Two distinct circles in crossing, parallel or shared planes, and the
+    points they were both drawn through.
+
+    Each centre is x plus cross(n, u) for its normal n and an integer
+    offset u, so x lies in both planes unless the second is shifted along
+    its normal.  An offset that is a multiple of the first gives collinear
+    centres (tangent or concentric circles in a shared plane).  Crossing
+    circles may instead be centred on the bisector, in their planes, of x
+    and a second point y on the planes' common line, so they meet twice.
+    A squared radius is |x - a|^2, or that plus a shift that takes x off."""
+    x = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3))
+    layout = draw(st.sampled_from(["crossing", "shared", "parallel"]))
+    n1 = draw(st.sampled_from(NORMALS))
+    n2 = draw(st.sampled_from([n for n in NORMALS if n != n1])) if layout == "crossing" else n1
+    u1 = draw(OFFSETS)
+    u2 = draw(st.one_of(OFFSETS, st.sampled_from([1, -1, 2, -2]).map(lambda k: geom.vscale(k, u1))))
+    lift = draw(st.integers(1, 3)) if layout == "parallel" else 0
+    a1 = geom.vadd(x, geom.cross(n1, u1))
+    a2 = geom.vadd(geom.vadd(x, geom.cross(n2, u2)), geom.vscale(lift, n2))
+    common = [x]
+    t = draw(st.sampled_from([0, 0, 1, -2, F(1, 2)])) if layout == "crossing" else 0
+    if t:
+        d = geom.cross(n1, n2)
+        common.append(geom.vadd(x, geom.vscale(t, d)))
+        mid = geom.vadd(x, geom.vscale(F(t) / 2, d))
+        a1 = geom.vadd(mid, geom.vscale(draw(st.integers(-2, 2)), geom.cross(n1, d)))
+        a2 = geom.vadd(mid, geom.vscale(draw(st.integers(-2, 2)), geom.cross(n2, d)))
+    shifts = st.sampled_from([0, 0, 0, 1, F(1, 4), F(-1, 2), F(9, 4)])
+    s1, s2 = draw(shifts), draw(shifts)
+    r1 = geom.norm2(geom.vsub(a1, x)) + s1
+    r2 = geom.norm2(geom.vsub(a2, x)) + s2
+    assume(r1 > 0 and r2 > 0)
+    c1, c2 = Circle(Point3(*a1), n1, r1), Circle(Point3(*a2), n2, r2)
+    assume(canonicalize(c1) != canonicalize(c2))
+    on_both = s1 == s2 == 0 and not lift
+    return c1, c2, [Point3(*p) for p in common] if on_both else []
+
+
+class TestCircleCircleDifferential:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(circle_pairs())
+    # tangent and concentric in a shared plane, a rational radius 5/2, and
+    # tangent across crossing planes
+    @example((Circle(point(0, 0, 0), Z_AXIS, F(1)), Circle(point(2, 0, 0), Z_AXIS, F(1)),
+              [point(1, 0, 0)]))
+    @example((CIRCLE_25, Circle(point(0, 0, 0), Z_AXIS, F(16)), []))
+    @example((Circle(point(0, 0, 0), Z_AXIS, F(25, 4)), Circle(point(3, 0, 0), Z_AXIS, F(25, 4)),
+              [point(F(3, 2), -2, 0), point(F(3, 2), 2, 0)]))
+    @example((CIRCLE_25, Circle(point(5, 0, 3), (F(1), F(0), F(0)), F(9)), [point(5, 0, 0)]))
+    def test_matches_two_branch_oracle(self, case):
+        c1, c2, common = case
+        got = _meet(c1, c2)
+        assert got == _meet(c2, c1)
+        assert got == sorted(oracle.circle_circle(c1, c2), key=Point3.as_tuple)
+        assert set(common) <= set(got)
+
+
+def test_pair_functions_raise_alike():
+    sphere = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1), (0, 0, 0): F(-1)})
+    plane = TriPoly({(0, 0, 1): F(1)})
+    equal = [
+        (geom.surface_pair_intersection, Plane(1, 1, 0, 2), Plane(2, 2, 0, 4)),
+        (geom.surface_pair_intersection, Sphere(point(1, 2, 3), 4), Sphere(point(1, 2, 3), 4)),
+        (geom.curve_pair_intersection,
+         Line(point(0, 0, 0), (1, 1, 0)), Line(point(2, 2, 0), (-2, -2, 0))),
+        (geom.curve_pair_intersection, CIRCLE_25, Circle(point(0, 0, 0), (0, 0, 2), 25)),
+    ]
+    for pair, a, b in equal:
+        with pytest.raises(CoincidentObjects):
+            pair(a, b)
+    implicit = [
+        (geom.surface_pair_intersection, Implicit(sphere), Plane(0, 0, 1, 0)),
+        (geom.surface_pair_intersection, Sphere(point(0, 0, 0), 1), Implicit(sphere)),
+        (geom.curve_pair_intersection, ImplicitPair(sphere, plane), CIRCLE_25),
+        (geom.curve_pair_intersection, CIRCLE_25, ImplicitPair(sphere, plane)),
+    ]
+    for pair, a, b in implicit:
+        with pytest.raises(UnsupportedObject):
+            pair(a, b)
 
 
 class TestMembership:

@@ -302,7 +302,7 @@ class TestCrossings:
 
 
 def _part(*factors):
-    return partition.PartitionPolynomial(list(factors), len(factors), F(1, 4), 0)
+    return partition.PartitionPolynomial(list(factors), F(1, 4), 0)
 
 
 SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -478,6 +478,18 @@ class TestThresholdSweep:
         assert oracle.best_threshold(cell_values, 1) == want
 
 
+RECORD = {"rounds": 1, "delta": "1/4", "seed": 0, "factors": [{"1,0,0": "1"}]}
+# a missing key, an unparsable field, or a round count other than the factors'
+BAD_RECORDS = [
+    {},
+    *({k: v for k, v in RECORD.items() if k != key} for key in RECORD),
+    *({**RECORD, **change} for change in (
+        {"rounds": "x"}, {"delta": "x"}, {"delta": "1/0"}, {"seed": "x"},
+        {"rounds": 3}, {"rounds": 0}, {"factors": 1},
+    )),
+]
+
+
 class TestSerialization:
     def test_round_trip(self):
         pts = random_points(64, seed=8)
@@ -492,3 +504,9 @@ class TestSerialization:
         data = {"rounds": 1, "delta": "1/4", "seed": 0, "factors": [{"1,x,0": "1"}]}
         with pytest.raises(ValidationError):
             partition.partition_from_jsonable(data)
+
+    @pytest.mark.parametrize("record", BAD_RECORDS)
+    def test_bad_record(self, record):
+        assert partition.partition_from_jsonable(RECORD).round_factors == [TriPoly({(1, 0, 0): 1})]
+        with pytest.raises(ValidationError):
+            partition.partition_from_jsonable(record)
