@@ -193,11 +193,16 @@ _FORMULAS = {
 FORMULA_NAMES = tuple(_FORMULAS)
 
 
+def _formula(name: str) -> tuple:
+    """The (sense, readers, evaluator) row of a formula name."""
+    if name not in _FORMULAS:
+        raise ValidationError(f"unknown bound formula {name!r}")
+    return _FORMULAS[name]
+
+
 def eval_bound(f: BoundFormula) -> float:
     """Numeric value of the named bound formula with unit constants."""
-    if f.name not in _FORMULAS:
-        raise ValidationError(f"unknown bound formula {f.name!r}")
-    _, readers, evaluator = _FORMULAS[f.name]
+    _, readers, evaluator = _formula(f.name)
     try:
         value = evaluator(*(read(f.params) for read in readers))
     except OverflowError:
@@ -216,10 +221,10 @@ def verify_instance(observed: int, f: BoundFormula) -> BoundReport:
     no sense, the degree schedule, raises `ValidationError`."""
     if observed < 0:
         raise ValidationError("observed count must be >= 0")
-    value = eval_bound(f)
-    sense = _FORMULAS[f.name][0]
+    sense = _formula(f.name)[0]
     if sense is None:
         raise ValidationError(f"{f.name} is not a count bound; nothing to verify")
+    value = eval_bound(f)
     ratio = observed / value if value > 0 else float("inf")
     flag = ratio < 1 / FLAG_THRESHOLD if sense == LOWER else ratio > FLAG_THRESHOLD
     return BoundReport(f.name, sense, observed, value, ratio, flag)

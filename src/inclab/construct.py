@@ -91,6 +91,8 @@ def gen_paraboloid_lift(
     surfaces: list[Surface] = [
         lift_surface(a, b, *w) for (a, b) in params for w in witnesses
     ]
+    if len({canonicalize(s) for s in surfaces}) != len(surfaces):
+        raise ValidationError("quadrics must be distinct")
     pts = [lift_point(x, y) for x, y in planar_points]
     if len(set(pts)) != len(pts):
         raise ValidationError("points must be distinct")
@@ -228,6 +230,8 @@ def gen_distance_spheres(
         raise ValidationError("P1 and P2 must be nonempty")
     ints, den = geom.integer_coords([*P1, *P2])
     I1, I2 = ints[:len(P1)], ints[len(P1):]
+    if len(set(I1)) != len(I1) or len(set(I2)) != len(I2):
+        raise ValidationError("points must be distinct")
     if set(I1) & set(I2):
         raise ValidationError("P1 and P2 must be disjoint")
     d2s = sorted({

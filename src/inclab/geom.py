@@ -574,25 +574,15 @@ def _line_line(l1: Line, l2: Line) -> list[Point3]:
 
 
 def _line_circle(line: Line, circle: Circle) -> list[Point3]:
-    n = circle.normal
-    o = line.origin.as_tuple()
-    d = line.direction
-    c = circle.center.as_tuple()
-    nd = dot(n, d)
-    if nd != 0:
-        t = dot(n, vsub(c, o)) / nd
-        p = Point3(*vadd(o, vscale(t, d)))
-        return [p] if point_on_curve(p, circle) else []
-    if dot(n, vsub(o, c)) != 0:
-        return []  # line parallel to the circle's plane but off it
-    # line in the circle's plane: |o + t d - c|^2 = r^2
-    w = vsub(o, c)
-    qa = norm2(d)
-    qb = 2 * dot(w, d)
-    qc = norm2(w) - circle.radius2
-    return [
-        Point3(*vadd(o, vscale(t, d))) for t in _rational_quadratic_roots(qa, qb, qc)
-    ]
+    # The circle is its plane cut with its centre sphere: the line meets the
+    # sphere at o + t d for the roots t of |w + t d|^2 = r^2, w = o - c, and
+    # the points kept are those on the plane.  The roots' sum is rational,
+    # so a rational crossing of the plane on the circle is never dropped.
+    o, d, n = line.origin.as_tuple(), line.direction, circle.normal
+    w = vsub(o, circle.center.as_tuple())
+    nw, nd = dot(n, w), dot(n, d)
+    roots = _rational_quadratic_roots(norm2(d), 2 * dot(w, d), norm2(w) - circle.radius2)
+    return [Point3(*vadd(o, vscale(t, d))) for t in roots if nw + t * nd == 0]
 
 
 def _circle_circle(c1: Circle, c2: Circle) -> list[Point3]:
@@ -631,8 +621,10 @@ def surface_contains_curve(surface: Surface, curve: Curve) -> bool:
     """Exact test that a plane/sphere fully contains a line/circle."""
     if isinstance(surface, Plane):
         if isinstance(curve, Line):
-            tip = Point3(*vadd(curve.origin.as_tuple(), curve.direction))
-            return point_on_surface(curve.origin, surface) and point_on_surface(tip, surface)
+            return (
+                dot(surface.normal(), curve.direction) == 0
+                and point_on_surface(curve.origin, surface)
+            )
         if isinstance(curve, Circle):
             return (
                 point_on_surface(curve.center, surface)

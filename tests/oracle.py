@@ -21,8 +21,11 @@ are the references of `io.parse_rational`, `io.points_from_csv` and
 `io.points_to_csv` and `io.objects_to_json`, and the `Fraction` distance
 loop is the reference of `construct.gen_distance_spheres`.  The
 two-branch circle-circle intersection, one branch for circles in distinct
-planes and one for circles in a shared plane, is the reference of
-`geom.curve_pair_intersection` on circle pairs.
+planes and one for circles in a shared plane, and the three-branch
+line-circle intersection, for a line crossing the circle's plane, parallel
+to it or in it, are the references of `geom.curve_pair_intersection` on
+circle pairs and line-circle pairs.  The projection through a full rational
+matrix inverse is the reference of `engine.project_generic`.
 """
 
 from __future__ import annotations
@@ -33,13 +36,19 @@ import io as _pyio
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from inclab import geom
 from inclab.apps import TriangleShape
-from inclab.engine import BipartiteDecomposition
-from inclab.errors import CoincidentObjects, UnsupportedObject, ValidationError
+from inclab.engine import BipartiteDecomposition, PlanarInstance, planar_incident
+from inclab.errors import (
+    CoincidentObjects,
+    GenericityFailure,
+    UnsupportedObject,
+    ValidationError,
+)
 from inclab.geom import (
     Circle,
     Curve,
@@ -54,11 +63,13 @@ from inclab.geom import (
     canonicalize,
     cross,
     dist2,
+    dot,
     is_zero_vec,
     norm2,
     point,
     point_on_curve,
     point_on_surface,
+    primitive_vector,
     surface_pair_intersection,
     vadd,
     vscale,
@@ -576,7 +587,34 @@ def triangle_circles(
 
 
 # ---------------------------------------------------------------------------
-# circle-circle intersection in two branches
+# line-circle intersection in three branches, circle-circle in two
+
+def line_circle(line: Line, circle: Circle) -> list[Point3]:
+    """The rational common points of a line and a circle.  A line crossing
+    the circle's plane meets it in one point; a line parallel to the plane
+    misses it or lies in it, and then meets the circle at the rational roots
+    of |o + t d - c|^2 = r^2."""
+    n = circle.normal
+    o = line.origin.as_tuple()
+    d = line.direction
+    c = circle.center.as_tuple()
+    nd = dot(n, d)
+    if nd != 0:
+        t = dot(n, vsub(c, o)) / nd
+        p = Point3(*vadd(o, vscale(t, d)))
+        return [p] if point_on_curve(p, circle) else []
+    if dot(n, vsub(o, c)) != 0:
+        return []  # line parallel to the circle's plane but off it
+    w = vsub(o, c)
+    qa = norm2(d)
+    qb = 2 * dot(w, d)
+    qc = norm2(w) - circle.radius2
+    root = geom.rational_sqrt(qb * qb - 4 * qa * qc)
+    if root is None:
+        return []
+    ts = sorted({(-qb - root) / (2 * qa), (-qb + root) / (2 * qa)})
+    return [Point3(*vadd(o, vscale(t, d))) for t in ts]
+
 
 def circle_circle(c1: Circle, c2: Circle) -> list[Point3]:
     """The common points of two distinct circles.  Circles in distinct
@@ -588,14 +626,114 @@ def circle_circle(c1: Circle, c2: Circle) -> list[Point3]:
         line = surface_pair_intersection(p1, p2)
         if line is None:
             return []  # parallel planes
-        return [p for p in geom.curve_pair_intersection(line, c1) if point_on_curve(p, c2)]
+        return [p for p in line_circle(line, c1) if point_on_curve(p, c2)]
     a1, a2 = c1.center.as_tuple(), c2.center.as_tuple()
     normal = vsub(a2, a1)
     if is_zero_vec(normal):
         return []  # concentric coplanar, distinct radii
     rhs = (norm2(a2) - norm2(a1) + c1.radius2 - c2.radius2) / 2
     line = surface_pair_intersection(Plane(normal[0], normal[1], normal[2], -rhs), p1)
-    return [p for p in geom.curve_pair_intersection(line, c1) if point_on_curve(p, c2)]
+    return [p for p in line_circle(line, c1) if point_on_curve(p, c2)]
+
+
+# ---------------------------------------------------------------------------
+# generic projection through a full matrix inverse
+
+def _mat_inverse(m):
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    if det == 0:
+        return None
+    cof = [
+        [
+            (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
+            for i in range(3)
+        ]
+        for j in range(3)
+    ]
+    return [[c / det for c in row] for row in cof]
+
+
+def _apply(m, v):
+    return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
+
+
+def _project_line(m, line: Line):
+    o = _apply(m, line.origin.as_tuple())
+    d = _apply(m, line.direction)
+    if d[0] == 0 and d[1] == 0:
+        return None  # projects to a point
+    a, b = -d[1], d[0]
+    c = d[1] * o[0] - d[0] * o[1]
+    return ("line", primitive_vector([a, b, c]))
+
+
+def _project_circle(minv, circle: Circle):
+    # On the image, x = Minv * y; eliminate y3 from the plane equation and
+    # substitute into the sphere equation to get a conic in (y1, y2).
+    n = circle.normal
+    c = circle.center.as_tuple()
+    w = tuple(sum(n[i] * minv[i][j] for i in range(3)) for j in range(3))
+    if w[2] == 0:
+        return None
+    e = dot(n, c)
+    # component i of Minv*y - c as alpha_i*u + beta_i*v + delta_i
+    alphas, betas, deltas = [], [], []
+    for i in range(3):
+        alphas.append(minv[i][0] - minv[i][2] * w[0] / w[2])
+        betas.append(minv[i][1] - minv[i][2] * w[1] / w[2])
+        deltas.append(minv[i][2] * e / w[2] - c[i])
+    cuu = sum(a * a for a in alphas)
+    cuv = 2 * sum(a * b for a, b in zip(alphas, betas))
+    cvv = sum(b * b for b in betas)
+    cu = 2 * sum(a * d for a, d in zip(alphas, deltas))
+    cv = 2 * sum(b * d for b, d in zip(betas, deltas))
+    c0 = sum(d * d for d in deltas) - circle.radius2
+    if cuu == 0 and cuv == 0 and cvv == 0:
+        return None
+    return ("conic", primitive_vector([cuu, cuv, cvv, cu, cv, c0]))
+
+
+def project_generic(points: Sequence[Point3], curves: Sequence[Curve], seed: int) -> PlanarInstance:
+    """`engine.project_generic` through the seeded random rational matrix m
+    and its inverse: points and lines map through m, and a circle's plane is
+    pulled back through m^-1 to write its image conic."""
+    incident = incidence_edges(points, curves)
+    for attempt in range(16):
+        rng = random.Random(f"{seed}:{attempt}")
+        m = [[Fraction(rng.randint(-19, 19)) for _ in range(3)] for _ in range(3)]
+        minv = _mat_inverse(m)
+        if minv is None:
+            continue
+        points2 = []
+        for p in points:
+            img = _apply(m, p.as_tuple())
+            points2.append((img[0], img[1]))
+        if len(set(points2)) != len(points2):
+            continue
+        curves2 = []
+        ok = True
+        for c in curves:
+            rec = _project_line(m, c) if isinstance(c, Line) else _project_circle(minv, c)
+            if rec is None:
+                ok = False
+                break
+            curves2.append(rec)
+        if not ok or len(set(curves2)) != len(curves2):
+            continue
+        preserved = all(
+            planar_incident(points2[pid], curves2[cid]) == ((pid, cid) in incident)
+            for pid in range(len(points))
+            for cid in range(len(curves))
+        )
+        if not preserved:
+            continue
+        return PlanarInstance(points2, curves2)
+    raise GenericityFailure("no valid generic projection in 16 attempts")
 
 
 # ---------------------------------------------------------------------------

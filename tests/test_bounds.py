@@ -41,8 +41,9 @@ class TestEvalBound:
             bounds.eval_bound(BoundFormula("dd_variety", {"n": 100, "epsilon": 0}))
 
     def test_unknown_formula(self):
-        with pytest.raises(ValidationError):
-            bounds.eval_bound(BoundFormula("nope", {}))
+        for check in (bounds.eval_bound, lambda f: bounds.verify_instance(3, f)):
+            with pytest.raises(ValidationError, match="unknown bound formula"):
+                check(BoundFormula("nope", {}))
 
     # pinned eval_bound values at m=500, n=900, q=40, r=4 for k=s=3 and for k=s=2
     GOLDEN = {
@@ -149,6 +150,10 @@ class TestVerify:
     def test_degree_plan_has_no_sense(self):
         with pytest.raises(ValidationError):
             bounds.verify_instance(5, BoundFormula("degree_plan", {"m": 500, "n": 900, "k": 2}))
+
+    def test_sense_checked_before_parameters(self):
+        with pytest.raises(ValidationError, match="not a count bound"):
+            bounds.verify_instance(5, BoundFormula("degree_plan", {}))
 
 
 class TestFit:

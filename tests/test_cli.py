@@ -408,6 +408,18 @@ BAD_INPUTS = {
     "paraboloid-duplicate-points": (
         {}, ["generate", "paraboloid", "--lines", "1:2", "--point", "0:0", "0:0",
              "--out-prefix", "{dir}/pl"], "points must be distinct"),
+    "paraboloid-repeated-witness": (
+        {}, ["generate", "paraboloid", "--lines", "1:2", "--witness", "0:0:1", "0:0:1",
+             "--out-prefix", "{dir}/pl"], "quadrics must be distinct"),
+    "paraboloid-zero-witnesses": (
+        {}, ["generate", "paraboloid", "--lines", "1:2", "3:4", "--witness", "0:0:0",
+             "--out-prefix", "{dir}/pl"], "quadrics must be distinct"),
+    "distance-spheres-duplicate-points2": (
+        {"p1.csv": io.points_to_csv([_O]), "p2.csv": io.points_to_csv([_A, _A])},
+        ["generate", "distance-spheres", "--points", "{dir}/p1.csv", "--points2",
+         "{dir}/p2.csv", "--out-prefix", "{dir}/d"], "points must be distinct"),
+    "verify-degree-plan": (
+        {}, ["verify", "--formula", "degree_plan", "--observed", "3"], "not a count bound"),
 }
 
 

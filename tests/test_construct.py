@@ -169,6 +169,14 @@ class TestDistanceSpheres:
         with pytest.raises(ValidationError):
             construct.gen_distance_spheres([point(0, 0, 0)], [point(0, 0, 0)])
 
+    @pytest.mark.parametrize("P1, P2", [
+        ([point(0, 0, 0), point(0, 0, 0)], [point(1, 0, 0)]),
+        ([point(0, 0, 0)], [point(F(1, 2), 0, 0), point(F(2, 4), 0, 0)]),
+    ])
+    def test_duplicate_points_rejected(self, P1, P2):
+        with pytest.raises(ValidationError, match="points must be distinct"):
+            construct.gen_distance_spheres(P1, P2)
+
 
 class TestUnitSpheres:
     def test_unit_square(self):

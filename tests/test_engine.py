@@ -4,11 +4,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 from inclab import construct, engine, geom, io
-from inclab.errors import CoincidentObjects, GuardExceeded, UnsupportedObject, ValidationError
+from inclab.errors import (
+    CoincidentObjects,
+    GenericityFailure,
+    GuardExceeded,
+    UnsupportedObject,
+    ValidationError,
+)
 from inclab.geom import Circle, Line, Plane, Sphere, TriPoly, point
 
 
@@ -408,6 +414,76 @@ class TestProjection:
         a = engine.project_generic(inst.points, inst.curves, seed=11)
         b = engine.project_generic(inst.points, inst.curves, seed=11)
         assert a.points2 == b.points2 and a.curves2 == b.curves2
+
+
+def _project_both(points, curves, seed):
+    """`engine.project_generic` and the matrix-inverse oracle on one input:
+    the same planar instance, or the same `GenericityFailure`."""
+    try:
+        want = oracle.project_generic(points, curves, seed)
+    except GenericityFailure:
+        with pytest.raises(GenericityFailure):
+            engine.project_generic(points, curves, seed)
+        return None
+    got = engine.project_generic(points, curves, seed)
+    assert got.points2 == want.points2 and got.curves2 == want.curves2
+    return got
+
+
+@st.composite
+def projection_inputs(draw):
+    """Points with small rational coordinates, lines and circles each drawn
+    through one of them (or, for a circle with a shifted radius, near it),
+    and a seed.  Repeated points and curves are allowed; no projection
+    keeps them apart."""
+    small = st.fractions(-3, 3, max_denominator=3)
+    points = draw(st.lists(st.tuples(small, small, small), min_size=1, max_size=5))
+    nonzero = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, d = draw(st.sampled_from(points)), draw(nonzero)
+        if draw(st.booleans()):
+            curves.append(Line(geom.Point3(*geom.vadd(x, geom.vscale(draw(small), d))), d))
+            continue
+        spoke = geom.cross(d, draw(nonzero))
+        radius2 = geom.norm2(spoke) + draw(st.sampled_from([0, 0, 1, F(1, 4)]))
+        if radius2:
+            curves.append(Circle(geom.Point3(*geom.vadd(x, spoke)), d, radius2))
+    assume(curves)
+    return [geom.Point3(*p) for p in points], curves, draw(st.integers(0, 40))
+
+
+def _rows(seed, attempt):
+    rng = random.Random(f"{seed}:{attempt}")
+    return [[rng.randint(-19, 19) for _ in range(3)] for _ in range(3)]
+
+
+class TestProjectionDifferential:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(projection_inputs())
+    def test_matches_matrix_inverse_oracle(self, case):
+        _project_both(*case)
+
+    def test_singular_first_draw_skipped(self):
+        # the first matrix drawn for seed 515 is singular, though its first two
+        # rows alone would project
+        r0, r1, r2 = _rows(515, 0)
+        assert geom.dot(r2, geom.cross(r0, r1)) == 0
+        inst = construct.gen_elekes_grid(2)
+        assert _project_both(inst.points, inst.curves, seed=515) is not None
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_degenerate_images_in_first_attempt(self, seed):
+        # a circle whose plane contains the first attempt's viewing direction
+        # r0 x r1 projects onto a line, and a line along it onto a point
+        r0, r1, _ = _rows(seed, 0)
+        view = geom.cross(r0, r1)
+        pts = [point(3, 4, 0), point(5, 0, 0), point(1, 2, 3)]
+        curves = [Circle(point(0, 0, 0), (0, 0, 1), 25),
+                  Circle(point(1, 2, 3), r0, 7), Line(point(1, 2, 3), view)]
+        got = _project_both(pts, curves, seed)
+        assert got is not None
+        assert engine.planar_incident(got.points2[2], got.curves2[2])
 
 
 class TestCommonSphere:

@@ -341,6 +341,58 @@ class TestCircleCircleDifferential:
         assert set(common) <= set(got)
 
 
+@st.composite
+def line_circle_pairs(draw):
+    """A circle through x and a line, with the points they both pass
+    through.  The line crosses the circle's plane at x, lies in the plane
+    (through x, tangent at x, or at a random direction) or runs parallel to
+    it off it.  A squared radius is |x - a|^2, or that plus a shift that
+    takes x off the circle and may leave irrational meets."""
+    x = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 3))
+    n = draw(st.sampled_from(NORMALS))
+    spoke = geom.cross(n, draw(OFFSETS))
+    assume(not geom.is_zero_vec(spoke))
+    a = geom.vadd(x, spoke)
+    shift = draw(st.sampled_from([0, 0, 0, 1, F(1, 4), F(-1, 2), F(9, 4)]))
+    r2 = geom.norm2(spoke) + shift
+    assume(r2 > 0)
+    layout = draw(st.sampled_from(["crossing", "in-plane", "tangent", "parallel"]))
+    if layout == "crossing":
+        d = draw(OFFSETS)
+        assume(geom.dot(n, d) != 0)
+    elif layout == "tangent":
+        d = geom.cross(n, spoke)
+    else:
+        d = geom.cross(n, draw(OFFSETS))
+        assume(not geom.is_zero_vec(d))
+    lift = draw(st.integers(1, 2)) if layout == "parallel" else 0
+    slide = draw(st.sampled_from([0, 1, F(-1, 2)]))
+    origin = geom.vadd(geom.vadd(x, geom.vscale(lift, n)), geom.vscale(slide, d))
+    common = [Point3(*x)] if shift == 0 and not lift else []
+    return Line(Point3(*origin), d), Circle(Point3(*a), n, r2), common
+
+
+class TestLineCircleDifferential:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(line_circle_pairs())
+    # transversal on and inside the circle, parallel off its plane, tangent
+    # and secant in it, and a secant with irrational meets
+    @example((Line(point(3, 4, -2), Z_AXIS), CIRCLE_25, [point(3, 4, 0)]))
+    @example((Line(point(1, 1, -2), Z_AXIS), CIRCLE_25, []))
+    @example((Line(point(0, 0, 1), (F(1), F(0), F(0))), CIRCLE_25, []))
+    @example((Line(point(-7, 5, 0), (F(1), F(0), F(0))), CIRCLE_25, [point(0, 5, 0)]))
+    @example((Line(point(0, 4, 0), (F(2), F(0), F(0))), CIRCLE_25,
+              [point(-3, 4, 0), point(3, 4, 0)]))
+    @example((Line(point(0, 0, 0), (F(1), F(1), F(0))), Circle(point(0, 0, 0), Z_AXIS, F(1)), []))
+    def test_matches_three_branch_oracle(self, case):
+        line, circle, common = case
+        got = geom.curve_pair_intersection(line, circle)
+        assert got == geom.curve_pair_intersection(circle, line)
+        assert got == oracle.line_circle(line, circle)
+        assert all(geom.point_on_curve(p, c) for p in got for c in (line, circle))
+        assert set(common) <= set(got)
+
+
 def test_pair_functions_raise_alike():
     sphere = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1), (0, 0, 0): F(-1)})
     plane = TriPoly({(0, 0, 1): F(1)})
@@ -382,6 +434,16 @@ class TestMembership:
         assert geom.surface_contains_curve(s, c)
         assert geom.surface_contains_curve(c.plane(), c)
         assert not geom.surface_contains_curve(Sphere(point(9, 0, 0), F(25)), c)
+        lines = [
+            (Line(point(1, 2, 0), (F(3), F(-1), F(0))), True),  # in the plane z = 0
+            (Line(point(1, 2, 0), (F(-6), F(2), F(0))), True),  # the same, scaled
+            (Line(point(1, 2, 5), (F(3), F(-1), F(0))), False),  # parallel, off it
+            (Line(point(1, 2, 0), (F(3), F(-1), F(1))), False),  # crossing it
+            (Line(point(1, 2, 5), (F(0), F(0), F(1))), False),  # crossing it at right angles
+        ]
+        for plane in (Plane(0, 0, 1, 0), Plane(0, 0, F(-1, 2), 0)):
+            for line, inside in lines:
+                assert geom.surface_contains_curve(plane, line) == inside
 
 
 class TestValidation:
