@@ -15,14 +15,17 @@ rho1 - t^2 is a quarter of the Cayley-Menger value that `TriangleShape`
 checks to be > 0, so every pair of distinct points gives a circle.  The
 census clears P of denominators once, keys each circle by integers and
 gives it the integer frame row (n, C, W) of `engine._circle_frame`, with
-one scale L for the whole shape (`_apex_circles`).  The incidences and the
-coplanar/cospherical maximum are computed on that frame
-(`engine._centred_edges`, `engine._cospherical_max`); a circle whose W / L
-is not an integer holds no point and is skipped.  The circle count and the
-multiplicities are read off the same integer table, and the census builds
-no `Circle`; `triangle_circles` lists the circles.  Each incidence (r, circle
-of (p, q)) gives the triangle {p, q, r}, so the triangles are counted from
-the incidences, not by a search over all triples.
+one scale L for the whole shape (`_apex_circles`).  The incidences are
+computed on that frame (`engine._centred_edges`); a circle whose W / L is
+not an integer holds no point and is skipped.  The coplanar/cospherical
+maximum is read off the circles' axes, the lines through two points of P,
+which cross only at few candidate centres (`_apex_cospherical_max`);
+`engine._cospherical_max`, over every circle pair, is its reference.  The
+circle count and the multiplicities are read off the same integer table,
+and the census builds no `Circle`; `triangle_circles` lists the circles.
+Each incidence (r, circle of (p, q)) gives the triangle {p, q, r}, so the
+triangles are counted from the incidences, not by a search over all
+triples.
 """
 
 from __future__ import annotations
@@ -96,14 +99,23 @@ class TriangleShape:
     rho2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "rho1", frac(self.rho1))
-        object.__setattr__(self, "rho2", frac(self.rho2))
-        if self.rho1 <= 0 or self.rho2 <= 0:
+        rho1, rho2 = frac(self.rho1), frac(self.rho2)
+        object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "rho2", rho2)
+        a, b, c = _squared_sides(rho1, rho2)
+        if b <= 0 or c <= 0:
             raise DegenerateShape("squared side ratios must be positive")
-        a, b, c = Fraction(1), self.rho1, self.rho2
         # strict Cayley-Menger positivity for squared sides (a, b, c)
         if 2 * (a * b + b * c + c * a) - a * a - b * b - c * c <= 0:
             raise DegenerateShape("squared sides (1, rho1, rho2) admit no triangle")
+
+
+def _squared_sides(rho1: Fraction, rho2: Fraction) -> tuple[int, int, int]:
+    """The squared sides (1, rho1, rho2) times q1 q2, for rho1 = p1 / q1 and
+    rho2 = p2 / q2: (q1 q2, p1 q2, p2 q1)."""
+    p1, q1 = rho1.numerator, rho1.denominator
+    p2, q2 = rho2.numerator, rho2.denominator
+    return q1 * q2, p1 * q2, p2 * q1
 
 
 @dataclass
@@ -199,9 +211,14 @@ def _apex_circles(P: Sequence[Point3], shape: TriangleShape) -> _ApexTable:
     if len(set(P)) != len(P):
         raise ValidationError("points must be distinct")
     coords, den = geom.integer_coords(P)
-    t = (1 + shape.rho1 - shape.rho2) / 2
-    tn, td = t.numerator, t.denominator
-    width = (shape.rho1 - t * t) * td * td
+    # with squared sides (a, b, c), t = (a + b - c) / 2a and
+    # (rho1 - t^2) td^2 = (b td^2 - a tn^2) / a, both in lowest terms
+    a, b, c = _squared_sides(shape.rho1, shape.rho2)
+    g = math.gcd(a + b - c, 2 * a)
+    tn, td = (a + b - c) // g, 2 * a // g
+    width = b * td * td - a * tn * tn
+    g = math.gcd(width, a)
+    w, scale = width // g, a // g
     pairs: dict[tuple, list[tuple[int, int]]] = {}
     for i, (px, py, pz) in enumerate(coords):
         for j in range(i + 1, len(coords)):
@@ -220,10 +237,102 @@ def _apex_circles(P: Sequence[Point3], shape: TriangleShape) -> _ApexTable:
     return _ApexTable(
         pairs,
         [(td * x, td * y, td * z) for x, y, z in coords],
-        width.numerator,
-        width.denominator,
+        w,
+        scale,
         td * den,
     )
+
+
+def _apex_cospherical_max(apex: _ApexTable) -> int:
+    """The largest number of apex circles in one plane or on one sphere:
+    the count of `engine._cospherical_max` on the apex frame, without
+    testing every pair of circles.
+
+    The axis of a circle, the line through its centre along its normal, is
+    the line through the two points of each ordered pair producing it.  So
+    the circles are grouped by axis, keyed by (n, n x C), and the points of
+    P on an axis are the producers of its circles, since every pair of
+    points gives a circle.  A sphere's centre lies on the axis of every
+    circle on it, so a sphere holding circles on two distinct axes is
+    centred where those axes cross.  The candidate centres of an axis are:
+
+    - its points of P, as (x, y, z, 1);
+    - its crossing with every other axis that shares no point of P with
+      it, is coplanar with it (reciprocal product n_A . m_B + n_B . m_A = 0
+      for moments m = n x C) and is not parallel to it.  Two axes through
+      a common point of P cross there, which is a candidate already.
+
+    A circle (n, C, W) and a candidate O = (X, Y, Z) / q on its axis, with
+    gcd(X, Y, Z, q) = 1 and q > 0, name one sphere, keyed as `_sphere_key`
+    keys it: (X, Y, Z, q, q^2 W + L |(X, Y, Z) - q C|^2).  A sphere holding
+    circles on two distinct axes has its centre among the candidates of
+    each of them, and an axis lists each candidate once, so its key is
+    counted exactly once per circle on it.  A sphere whose circles all
+    share one axis may be centred off every candidate; `_sphere_key` on
+    the pairs within each axis finds it, and a sphere named by h of them
+    holds c circles with h = C(c, 2), as in `_cospherical_max`.  Planes are
+    bucketed by (n, n . C).  Every sphere with two or more circles is found
+    with its full count by one of the two ways, so the largest count of
+    the three is the all-pairs answer.
+    """
+    scale = apex.scale
+    planes: dict[tuple, int] = {}
+    # axis (n, n x C) -> (frame rows (n, C, W) on it, ids of its points)
+    axes: dict[tuple, tuple[list, set]] = {}
+    for (centre, n, d2), ij in apex.pairs.items():
+        cx, cy, cz = centre
+        nx, ny, nz = n
+        plane = (n, nx * cx + ny * cy + nz * cz)
+        planes[plane] = planes.get(plane, 0) + 1
+        axis = (n, (ny * cz - nz * cy, nz * cx - nx * cz, nx * cy - ny * cx))
+        rows, on_axis = axes.setdefault(axis, ([], set()))
+        rows.append((n, centre, apex.w * d2))
+        on_axis.update(*ij)
+    # (n, m, bitmask of its points, a point C on it) per axis
+    groups = [
+        (*n, *m, sum(1 << k for k in on_axis), rows[0][1])
+        for (n, m), (rows, on_axis) in axes.items()
+    ]
+    candidates = [{(*apex.points[k], 1) for k in on_axis} for _, on_axis in axes.values()]
+    for a, (nx, ny, nz, mx, my, mz, mask, (cx, cy, cz)) in enumerate(groups):
+        for b in range(a + 1, len(groups)):
+            ux, uy, uz, vx, vy, vz, other, (ex, ey, ez) = groups[b]
+            if mask & other or nx * vx + ny * vy + nz * vz + ux * mx + uy * my + uz * mz:
+                continue  # crossing at a shared point of P, or skew
+            kx, ky, kz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+            if not (kx or ky or kz):
+                continue  # parallel
+            # the crossing C_a + (p / q) n_a, as in `engine._sphere_key`
+            dx, dy, dz = ex - cx, ey - cy, ez - cz
+            p = (dy * uz - dz * uy) * kx + (dz * ux - dx * uz) * ky + (dx * uy - dy * ux) * kz
+            q = kx * kx + ky * ky + kz * kz
+            ox, oy, oz = q * cx + p * nx, q * cy + p * ny, q * cz + p * nz
+            g = math.gcd(ox, oy, oz, q)
+            crossing = (ox // g, oy // g, oz // g, q // g)
+            candidates[a].add(crossing)
+            candidates[b].add(crossing)
+    counts: dict[tuple, int] = {}
+    for (rows, _), centres in zip(axes.values(), candidates):
+        for _, (cx, cy, cz), w in rows:
+            for ox, oy, oz, q in centres:
+                dx, dy, dz = ox - q * cx, oy - q * cy, oz - q * cz
+                key = (ox, oy, oz, q, q * q * w + scale * (dx * dx + dy * dy + dz * dz))
+                counts[key] = counts.get(key, 0) + 1
+    best = max(max(planes.values()), max(counts.values()))
+    for rows, _ in axes.values():
+        # two distinct circles determine at most one common sphere, so a
+        # sphere holding c circles of this axis is named by C(c, 2) pairs;
+        # an axis with no more circles than the best count cannot beat it
+        if len(rows) > best:
+            hits: dict[tuple, int] = {}
+            for i, ri in enumerate(rows):
+                for rj in rows[i + 1:]:
+                    key = engine._sphere_key(ri, rj, scale)
+                    if key is not None:
+                        hits[key] = hits.get(key, 0) + 1
+            if hits:
+                best = max(best, (1 + math.isqrt(1 + 8 * max(hits.values()))) // 2)
+    return best
 
 
 def triangle_circles(
@@ -260,11 +369,11 @@ def similar_triangles_via_incidences(
         raise ValidationError("need at least three points")
     apex = _apex_circles(P, shape)
     producers = list(apex.pairs.values())
-    frame = [(normal, centre, apex.w * d2) for centre, normal, d2 in apex.pairs]
     # centre -> W / L -> [(normal, circle id)]; a circle whose W / L is not
     # an integer holds no point of the frame and is not stored
     centred: dict[tuple, dict[int, list]] = {}
-    for cid, (normal, centre, w) in enumerate(frame):
+    for cid, (centre, normal, d2) in enumerate(apex.pairs):
+        w = apex.w * d2
         if w % apex.scale == 0:
             centred.setdefault(centre, {}).setdefault(w // apex.scale, []).append((normal, cid))
     edges = engine._centred_edges(apex.points, centred)
@@ -272,7 +381,7 @@ def similar_triangles_via_incidences(
     # r on the circle of (i, j) makes {i, j, r} similar to the shape; r is
     # neither i nor j, since |ir|^2 = rho1 |ij|^2 > 0
     count = len({frozenset((i, j, r)) for r, cid in edges for i, j in producers[cid]})
-    q_max = engine._cospherical_max(frame, apex.scale)[0]
+    q_max = _apex_cospherical_max(apex)
     multiplicities = [len(ij) for ij in producers]
     flags = []
     if max(multiplicities) > 2:

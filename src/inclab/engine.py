@@ -8,7 +8,8 @@ identity table that lives for the call, and planes, spheres, lines and
 circles are bucketed by a shape key, so each point is looked up in the
 buckets rather than tested against every object.  Only implicit surfaces
 and curves are tested per pair, also in ints, through the integer form on
-each `TriPoly` (`TriPoly.integer_terms`) that the partition censuses use.
+each `TriPoly` (`TriPoly.integer_terms`) that the partition censuses use;
+each monomial is evaluated once per point and shared by all of them.
 Spheres and circles are matched by one routine, `_centred_edges`, over
 buckets keyed by integer centre and integer target (the scaled squared
 radius, computed in ints); a target shared by many centres is matched by
@@ -27,8 +28,12 @@ units.  Every circle pair is tested there in Python ints
 the answer.
 
 The similar-triangle census builds these rows itself, in closed form
-(`apps._apex_circles`), and calls `_centred_edges` and `_cospherical_max`
-on them directly.
+(`apps._apex_circles`), and calls `_centred_edges` on them directly.  It
+reads only the count of the maximum, and takes it off the circles' axes
+(`apps._apex_cospherical_max`): a sphere's centre lies on the axis of
+every circle on it, so the candidate centres are the points of P and the
+crossings of axes, and `_sphere_key` runs only on pairs of circles that
+share an axis.  `_cospherical_max` is the reference for that count.
 """
 
 from __future__ import annotations
@@ -199,7 +204,9 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
 
     A sphere or circle whose target has a nonzero remainder holds no point
     and is not stored.  Implicit surfaces and curves have no shape key and
-    are tested per pair, each polynomial's `integer_terms(den)` in ints.
+    are tested per pair, each polynomial's `integer_terms(den)` in ints;
+    each of their monomials is evaluated once per point, from per-point
+    power tables, and shared by all of them.
     """
     # id(anchor) -> anchor, one entry per distinct anchor object
     anchors: dict[int, Point3] = {}
@@ -215,7 +222,10 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
     centred: dict[tuple, dict[int, list[tuple[Optional[tuple], int]]]] = {}
     planes: dict[tuple, dict[int, list[int]]] = {}
     lines: dict[tuple, dict[tuple, list[int]]] = {}
-    per_pair = []
+    # implicit objects as [(oid, [[(c, monomial id)] per polynomial])]; each
+    # monomial (i, j, k) is evaluated once per point and read by its id
+    implicit = []
+    monomials: dict[tuple[int, int, int], int] = {}
     for oid, obj in enumerate(objects):
         if isinstance(obj, (Sphere, Circle)):
             r2 = obj.radius2
@@ -236,12 +246,17 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
             lines.setdefault(direction, {}).setdefault(moment, []).append(oid)
         elif isinstance(obj, (geom.Implicit, geom.ImplicitPair)):
             polys = (obj.poly,) if isinstance(obj, geom.Implicit) else (obj.f, obj.g)
-            per_pair.append((oid, [f.integer_terms(den) for f in polys]))
+            implicit.append((oid, [
+                [(c, monomials.setdefault((i, j, k), len(monomials)))
+                 for c, i, j, k in f.integer_terms(den)]
+                for f in polys
+            ]))
         else:
             raise UnsupportedObject(f"not a surface or curve: {type(obj).__name__}")
 
     point_coords = coords[: len(points)]
     edges = _centred_edges(point_coords, centred)
+    exponents = range(1 + max((max(m) for m in monomials), default=0))
     for pid, (x, y, z) in enumerate(point_coords):
         for (a, b, c), by_target in planes.items():
             hit = by_target.get(-(a * x + b * y + c * z))
@@ -251,10 +266,12 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
             hit = by_moment.get((y * vz - z * vy, z * vx - x * vz, x * vy - y * vx))
             if hit:
                 edges.extend((pid, oid) for oid in hit)
-        if per_pair:
+        if implicit:
+            xs, ys, zs = ([v**e for e in exponents] for v in (x, y, z))
+            values = [xs[i] * ys[j] * zs[k] for i, j, k in monomials]
             edges.extend(
-                (pid, oid) for oid, forms in per_pair
-                if all(geom.integer_value(terms, x, y, z) == 0 for terms in forms)
+                (pid, oid) for oid, forms in implicit
+                if all(sum([c * values[m] for c, m in terms]) == 0 for terms in forms)
             )
     return edges
 

@@ -5,7 +5,7 @@ import oracle
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from inclab import apps, construct, geom
+from inclab import apps, construct, engine, geom
 from inclab.errors import DegenerateShape, ValidationError
 from inclab.geom import dist2, point
 
@@ -74,6 +74,34 @@ def repeated_cases(draw):
         st.fractions(min_value=F(1, 50), max_value=20, max_denominator=50),
     ))
     return P, d2
+
+
+APEX_SHAPES = [
+    apps.TriangleShape(1, 1),
+    apps.TriangleShape(1, 2),
+    apps.TriangleShape(F(25, 9), F(16, 9)),
+    apps.TriangleShape(F(4, 9), F(13, 9)),
+]
+
+
+@st.composite
+def apex_cases(draw):
+    """Up to 14 distinct points of [0, k]^3, k = 3 or 4, over the
+    denominator 1, 2 or 3, which have many collinear triples and coplanar
+    quadruples, so many apex axes coincide or cross; and a shape with
+    L = 1 (1,1 and 1,2) or L > 1 (25/9,16/9 and 4/9,13/9), or one taken
+    from three of the points."""
+    k = draw(st.sampled_from([3, 4]))
+    den = draw(st.sampled_from([1, 2, 3]))
+    cell = st.tuples(st.integers(0, k), st.integers(0, k), st.integers(0, k))
+    cells = draw(st.lists(cell, min_size=3, max_size=14, unique=True))
+    P = [point(F(x, den), F(y, den), F(z, den)) for x, y, z in cells]
+    if draw(st.booleans()):
+        return P, draw(st.sampled_from(APEX_SHAPES))
+    try:
+        return P, apps.shape_from_points(*draw(st.permutations(P))[:3])
+    except DegenerateShape:
+        assume(False)
 
 
 def _raised(fn, *args):
@@ -304,6 +332,21 @@ class TestCensus:
         circles = [c for c, _ in expected]
         assert census.incidences == len(oracle.incidence_edges(P, circles))
         assert census.cospherical_coplanar_max == oracle.coplanar_cospherical_max(circles)[0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(apex_cases())
+    # t = 0: the circles of (p, q) and (q, p) lie on the sphere centred at
+    # the midpoint of pq, which is neither a point of P nor a crossing of
+    # two axes here; only the coaxial pair finds it, and no plane or other
+    # sphere holds two circles
+    @example(([point(0, 0, 0), point(1, 0, 0), point(0, 2, 0)], APEX_SHAPES[3]))
+    # t = 0: the four diagonal circles of the unit square lie on one sphere
+    # centred at (1/2, 1/2, 0), where the diagonals cross
+    @example((UNIT_SQUARE, APEX_SHAPES[3]))
+    def test_apex_count_matches_all_pairs(self, case):
+        apex = apps._apex_circles(*case)
+        frame = [(normal, centre, apex.w * d2) for centre, normal, d2 in apex.pairs]
+        assert apps._apex_cospherical_max(apex) == engine._cospherical_max(frame, apex.scale)[0]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(point_sets(min_size=0, max_size=4), st.booleans(), st.sampled_from(SHAPES))
