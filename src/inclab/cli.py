@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
-from fractions import Fraction
 
 from . import apps, bounds, construct, engine, io, partition
 from .errors import SearchFailure, ValidationError
-from .geom import Line, point
 
 
 def _read(path: str) -> str:
@@ -35,19 +34,24 @@ def _load_objects(path: str):
     return io.objects_from_json(_read(path))
 
 
+def _write(path: str, text: str):
+    try:
+        io.atomic_write(path, text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
+
+
 def _emit(args, payload: dict):
     text = io.dumps_json(payload)
     if getattr(args, "output", None):
-        io.atomic_write(args.output, text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
 
 def _write_instance(inst, prefix: str):
-    io.atomic_write(prefix + ".points.csv", io.points_to_csv(inst.points))
-    io.atomic_write(
-        prefix + ".objects.json", io.objects_to_json(inst.curves + inst.surfaces)
-    )
+    _write(prefix + ".points.csv", io.points_to_csv(inst.points))
+    _write(prefix + ".objects.json", io.objects_to_json(inst.curves + inst.surfaces))
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +127,17 @@ def _cmd_partition(args) -> int:
     )
     payload = {"partition": partition.partition_to_jsonable(part)}
     if args.census:
-        census = partition.cell_census(pts, part)
-        payload["census"] = {
-            ("Z" if label == partition.Z_LABEL else "".join(label)): size
-            for label, size in census.items()
-        }
+        # the build's cells: no point of the build is in Z
+        payload["census"] = {"".join(label): size for label, size in part.census.items()}
     if args.cross_lines:
-        import random
-
         rng = random.Random(args.seed + 1)
         crossings = []
         for _ in range(args.cross_lines):
-            origin = point(*(Fraction(rng.randint(-50, 50)) for _ in range(3)))
-            direction = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
-            if all(c == 0 for c in direction):
-                direction = (Fraction(1), Fraction(0), Fraction(0))
-            crossings.append(partition.crossing_census(Line(origin, direction), part))
+            origin = tuple(rng.randint(-50, 50) for _ in range(3))
+            direction = tuple(rng.randint(-9, 9) for _ in range(3))
+            if not any(direction):
+                direction = (1, 0, 0)
+            crossings.append(partition._crossings(part.round_factors, origin, direction, 1))
         payload["crossings"] = crossings
     _emit(args, payload)
     return 0

@@ -12,25 +12,38 @@ certifies it; no point value ever sits on an accepted threshold.  Scores
 are ints in units of 1/lcm(cell sizes), from score tables built once per
 round, and (1+delta)/2 is compared with them by cross-multiplying.
 
+The build's cells are its points' cell census: a point goes to the side
+of the sign of 2 value - theta, a positive multiple of the factor's value
+there, and no value sits on an accepted threshold, so no point is in Z.
+`build_partition` returns that census with the partition (`census`, not
+serialized); `cell_census` is the general census of any points, and its
+reference.
+
 The censuses stay in the same integers.  The integer form of a factor
 lives on the `TriPoly` itself (`TriPoly.integer_terms`), cleared of
 denominators once, and is the same form the incidence core signs implicit
 objects with; a census only scales its terms by den**(d - |m|) for the
 points' or the line's common denominator.  `cell_census` evaluates the
-scaled terms on the cleared coordinates (`geom.integer_value`);
-`crossing_census` clears the line's origin and direction once, reads
-every factor's restriction to the line off power tables (o + t v)**e per
-axis, and takes the sign vectors at the dyadic sample points (a, k)
-between the roots of their product (`roots`), each sign from an integer
-Horner value.  Each of these is a positive multiple
-of the rational value, so every sign is exact.
+scaled terms on the cleared coordinates (`geom.integer_value`).  The
+crossing census works on an integer line (o + t v) / den: `crossing_census`
+clears a rational line's origin and direction once, and a caller with an
+integer line passes it with den 1.  Every factor's restriction to the line
+is read off power tables (o + t v)**e per axis.  When every restriction
+has degree at most 1, as for the planes of rounds 1 and 2, the count is
+the number of distinct roots plus one: a linear factor flips sign exactly
+once, at its root, a constant never, so the open intervals between the k
+distinct roots carry k + 1 pairwise distinct sign vectors.  Otherwise the
+sign vectors are taken at the dyadic sample points (a, k) between the
+roots of the product (`roots`, Sturm sequences), each sign from an integer
+Horner value.  Each of these is a positive multiple of the rational value,
+so every sign is exact.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
@@ -93,9 +106,14 @@ def plan_degree(m: int, n: int, k: int, a=1, a_prime=1, c=1) -> DegreePlan:
 
 @dataclass
 class PartitionPolynomial:
+    """The round factors of a partition.  `census` is the cell census of
+    the points it was built on, read off the build (`build_partition`);
+    it is empty for a partition read back from its record."""
+
     round_factors: list[TriPoly]
     delta: Fraction
     seed: int
+    census: dict[CellLabel, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def total_degree(self) -> int:
@@ -184,7 +202,9 @@ def build_partition(
     side of its zero set holds at most a (1+delta)/2 fraction of every
     current cell.  Raises BudgetExhausted when no candidate passes, and
     before the first candidate of a round whose cells no threshold can
-    split that evenly.
+    split that evenly.  The cells the rounds leave are returned as the
+    partition's `census`, the points' cell census (see the module
+    docstring).
     """
     if not 1 <= t <= 4:
         raise GuardExceeded("rounds t must be between 1 and 4")
@@ -200,11 +220,12 @@ def build_partition(
     # a score s in units of 1/unit is at most (1+delta)/2 exactly when
     # 2 s delta.denominator <= (delta.denominator + delta.numerator) unit
     limit_num, limit_den = delta.denominator + delta.numerator, 2 * delta.denominator
-    cells: list[list[int]] = [list(range(len(points)))]
+    # each cell with its sign vector so far
+    cells: list[tuple[tuple[str, ...], list[int]]] = [((), list(range(len(points))))]
     factors: list[TriPoly] = []
 
     for round_index in range(1, t + 1):
-        tables = _score_tables([len(cell) for cell in cells])
+        tables = _score_tables([len(cell) for _, cell in cells])
         unit = tables[0][0]
         ceiling = limit_num * unit // limit_den  # the largest score accepted
         # no threshold sits on a value, so a cell's larger open side holds
@@ -217,7 +238,7 @@ def build_partition(
                 best_imbalance=Fraction(target, unit),
             )
         cell_of = [0] * len(points)
-        for c, cell in enumerate(cells):
+        for c, (_, cell) in enumerate(cells):
             for pid in cell:
                 cell_of[pid] = c
         d = round_degree(round_index)
@@ -266,13 +287,13 @@ def build_partition(
         terms[(0, 0, 0)] = -Fraction(theta, 2 * pad)
         factors.append(TriPoly(terms))
         new_cells = []
-        for cell in cells:
+        for signs, cell in cells:
             neg, pos = [], []
             for pid in cell:
                 (neg if 2 * values[pid] < theta else pos).append(pid)
-            new_cells.extend(side for side in (neg, pos) if side)
+            new_cells.extend((signs + (s,), side) for s, side in (("-", neg), ("+", pos)) if side)
         cells = new_cells
-    return PartitionPolynomial(factors, delta, seed)
+    return PartitionPolynomial(factors, delta, seed, {signs: len(cell) for signs, cell in cells})
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +363,35 @@ def crossing_census(line: Line, part: PartitionPolynomial) -> int:
     """Distinct open-cell sign vectors met along a line, by exact univariate
     root isolation of each factor restricted to the line, in integers."""
     ints, den = clear_denominators((*line.origin.as_tuple(), *line.direction))
-    restricted = _restricted(part.round_factors, ints[:3], ints[3:], den)
+    return _crossings(part.round_factors, ints[:3], ints[3:], den)
+
+
+def _crossings(factors: Sequence[TriPoly], origin: tuple[int, int, int],
+               direction: tuple[int, int, int], den: int) -> int:
+    """`crossing_census` of the line (origin + t direction) / den, for an
+    integer origin and direction and a positive den.
+
+    When every restriction has degree at most 1 (every factor of rounds 1
+    and 2 is a plane), the count is the number of distinct roots plus one:
+    a nonzero constant never changes sign, and c0 + c1 t with c1 != 0
+    changes sign exactly once, at -c0/c1.  Between any two of the k + 1
+    open intervals cut by the k distinct roots lies a root, and the factor
+    vanishing there flips there and nowhere else, so the k + 1 sign vectors
+    are pairwise distinct.  Roots are compared as gcd-reduced pairs with a
+    positive denominator.  Otherwise the sign vectors are read at sample
+    points between the roots of the factors' product (`roots._samples`).
+    """
+    restricted = _restricted(factors, origin, direction, den)
     if not all(restricted):
         return 0  # the line lies inside some factor's zero set: always Z
+    if all(len(r) <= 2 for r in restricted):
+        found = set()
+        for r in restricted:
+            if len(r) == 2:
+                c0, c1 = r
+                g = math.gcd(c0, c1) if c1 > 0 else -math.gcd(c0, c1)
+                found.add((-c0 // g, c1 // g))
+        return len(found) + 1
     product = [1]
     for r in restricted:
         product = roots.umul(product, r)

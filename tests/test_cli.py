@@ -420,6 +420,13 @@ BAD_INPUTS = {
          "{dir}/p2.csv", "--out-prefix", "{dir}/d"], "points must be distinct"),
     "verify-degree-plan": (
         {}, ["verify", "--formula", "degree_plan", "--observed", "3"], "not a count bound"),
+    "output-in-missing-directory": (
+        {"p.csv": io.points_to_csv([_O, _A])},
+        ["distances", "--points", "{dir}/p.csv", "--mode", "distinct",
+         "--output", "{dir}/missing/out.json"], "cannot write {dir}/missing/out.json"),
+    "out-prefix-in-missing-directory": (
+        {}, ["generate", "elekes", "--k", "2", "--out-prefix", "{dir}/missing/e"],
+        "cannot write {dir}/missing/e.points.csv"),
 }
 
 
@@ -656,8 +663,26 @@ class TestCli:
         assert out == "" and "Traceback" not in err
         assert len(err.splitlines()) == 1
         record = json.loads(err)
-        assert record["error"] == "validation" and message in record["message"]
+        assert record["error"] == "validation"
+        assert message.format(dir=tmp_path) in record["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+    def test_output_directory_exits_1_with_record(self, tmp_path, capsys):
+        # os.replace cannot put the written file over a directory
+        ppath, target = tmp_path / "p.csv", tmp_path / "out"
+        ppath.write_text(io.points_to_csv([_O, _A]))
+        target.mkdir()
+        (target / "kept").write_text("old")
+        assert self.run(
+            "distances", "--points", str(ppath), "--mode", "distinct", "--output", str(target)
+        ) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "validation"
+        assert record["message"].startswith(f"cannot write {target}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "p.csv"]
+        assert [p.name for p in target.iterdir()] == ["kept"]
 
     def test_distances_repeated_duplicate_points(self, tmp_path, capsys):
         ppath = tmp_path / "dup.csv"

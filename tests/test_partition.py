@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from inclab import geom, partition
+from inclab import geom, partition, roots
 from inclab.errors import BudgetExhausted, GuardExceeded, ValidationError
 from inclab.geom import Line, Point3, TriPoly, integer_coords, point
 from inclab.partition import Regime
@@ -204,6 +205,28 @@ class TestRationalPoints:
             cells = children
         # no scanned threshold sits on a point's value, so nothing is in Z
         assert sum(map(len, cells)) == size
+        assert part.census == partition.cell_census(pts, part)
+
+
+class TestBuildCensus:
+    @pytest.mark.parametrize("n, point_seed, t, seed", [
+        (16, 18, 1, 0), (32, 19, 2, 3), (32, 12, 3, 4), (128, 7, 3, 1), (64, 18, 4, 0),
+    ])
+    def test_matches_cell_census(self, n, point_seed, t, seed):
+        # (128, 7, 3, 1) is the build of TestCrossings.test_line_crossing_bound
+        pts = random_points(n, seed=point_seed)
+        part = partition.build_partition(pts, t=t, delta=F(1, 4), seed=seed)
+        assert partition.Z_LABEL not in part.census
+        assert all(len(label) == t for label in part.census)
+        assert part.census == partition.cell_census(pts, part)
+        assert part.census == oracle.cell_census(pts, part.round_factors)
+
+    def test_not_serialized(self):
+        part = partition.build_partition(random_points(16, seed=18), t=2, delta=F(1, 4), seed=0)
+        data = partition.partition_to_jsonable(part)
+        assert set(data) == {"rounds", "delta", "seed", "factors"}
+        back = partition.partition_from_jsonable(data)
+        assert back.census == {} and back == part
 
 
 class TestClassify:
@@ -299,6 +322,145 @@ class TestCrossings:
         assert partition.crossing_census(line, _part(bowl)) == 1
         plane = TriPoly({(0, 0, 1): F(1)})  # z = 7 - t
         assert partition.crossing_census(line, _part(bowl, plane)) == 2
+
+
+def _normal(f):
+    return tuple(f.terms.get(m, F(0)) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _planes_meet(f, g):
+    """A point on both planes f = 0 and g = 0, or None when they are parallel."""
+    rows = [list(_normal(f)), list(_normal(g))]
+    rows.append(list(geom.cross(*rows)))
+    rhs = [-f.terms.get((0, 0, 0), F(0)), -g.terms.get((0, 0, 0), F(0)), F(0)]
+
+    def det(m):
+        return geom.dot(m[0], geom.cross(m[1], m[2]))
+
+    d = det(rows)
+    if d == 0:
+        return None
+    cols = [[r[:a] + [v] + r[a + 1:] for r, v in zip(rows, rhs)] for a in range(3)]
+    return point(*(det(c) / d for c in cols))
+
+
+def _along(normal, u):
+    """A nonzero direction orthogonal to the normal, from u."""
+    d = geom.cross(normal, u)
+    return d if any(d) else geom.cross(normal, (F(1), F(2), F(3)))
+
+
+INT_LINE = st.tuples(*[st.integers(-50, 50)] * 3, *[st.integers(-9, 9)] * 3)
+RATIONAL = st.fractions(min_value=-50, max_value=50, max_denominator=7)
+
+
+@st.composite
+def linear_round_cases(draw):
+    """A seeded t = 1 or t = 2 build on integer or rational points, and
+    lines of six kinds: random integer lines, random rational lines, lines
+    through a point where every factor vanishes (a root shared by both
+    planes at t = 2), lines parallel to the first plane, lines inside it,
+    and lines along the intersection of the planes."""
+    t = draw(st.sampled_from([1, 2]))
+    size = draw(st.sampled_from([8, 16, 24]))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        pts = random_points(size, seed=seed, lo=-99, hi=99)
+    else:
+        rng = random.Random(seed)
+        pts = set()
+        while len(pts) < size:
+            pts.add(point(*(F(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(3))))
+        pts = sorted(pts, key=lambda p: (p.x, p.y, p.z))
+    part = partition.build_partition(pts, t=t, delta=F(1, 4), seed=seed)
+    first = part.round_factors[0]
+    anchor = _planes_meet(*part.round_factors) if t == 2 else None
+    if anchor is None:  # a point of the first plane
+        n = _normal(first)
+        anchor = point(*(-first.terms.get((0, 0, 0), F(0)) * c / geom.norm2(n) for c in n))
+    lines = []
+    for kind in range(12):
+        drawn = draw(INT_LINE)
+        o, d = drawn[:3], drawn[3:]
+        d = d if any(d) else (1, 0, 0)
+        if kind % 6 == 0:
+            lines.append(Line(point(*o), d))
+        elif kind % 6 == 1:
+            r = tuple(draw(RATIONAL) for _ in range(3))
+            lines.append(Line(point(*(draw(RATIONAL) for _ in range(3))), r if any(r) else d))
+        elif kind % 6 == 2:  # through the anchor at the parameter -s
+            s = draw(st.sampled_from([F(0), F(1), F(-2, 3)]))
+            lines.append(Line(point(*(a - s * c for a, c in zip(anchor.as_tuple(), d))), d))
+        elif kind % 6 == 3:
+            lines.append(Line(point(*o), _along(_normal(first), d)))
+        elif kind % 6 == 4:
+            lines.append(Line(anchor, _along(_normal(first), d)))
+        else:
+            d = geom.cross(*map(_normal, part.round_factors)) if t == 2 else d
+            lines.append(Line(anchor, d if any(d) else (1, 0, 0)))
+    return part, lines
+
+
+class TestLinearRoundCrossings:
+    """Rounds 1 and 2 are planes: their crossings come from the distinct
+    roots of the linear restrictions, and no root isolation runs."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(linear_round_cases())
+    def test_matches_fraction_oracle(self, case):
+        part, lines = case
+        want = [oracle.crossing_census(line, part.round_factors) for line in lines]
+        with mock.patch.object(roots, "_samples", side_effect=AssertionError("Sturm path")):
+            assert [partition.crossing_census(line, part) for line in lines] == want
+            for line, count in zip(lines, want):
+                o, d = line.origin.as_tuple(), line.direction
+                if all(c.denominator == 1 for c in (*o, *d)):
+                    ints = [int(c) for c in (*o, *d)]
+                    assert partition._crossings(part.round_factors, ints[:3], ints[3:], 1) == count
+
+    def test_shared_parallel_and_inside(self):
+        x, y = TriPoly({(1, 0, 0): F(1)}), TriPoly({(0, 1, 0): F(1), (0, 0, 0): F(-2)})
+        part = _part(x, y)
+        cases = [
+            (Line(point(-1, 1, 5), (F(1), F(1), F(0))), 2),   # both vanish at (0, 2, 5)
+            (Line(point(-1, 1, 5), (F(1), F(-1), F(0))), 3),  # distinct roots
+            (Line(point(3, 1, 5), (F(0), F(1), F(1))), 2),    # parallel to x = 0
+            (Line(point(3, 7, 5), (F(0), F(0), F(1))), 1),    # parallel to both
+            (Line(point(0, 1, 5), (F(0), F(1), F(1))), 0),    # inside x = 0
+        ]
+        with mock.patch.object(roots, "_samples", side_effect=AssertionError("Sturm path")):
+            for line, count in cases:
+                assert partition.crossing_census(line, part) == count
+                assert oracle.crossing_census(line, part.round_factors) == count
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(linear_round_cases(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    def test_quadratic_restricted_to_a_line(self, case, c):
+        # q = (n . p)^2 + m . p + c with n the first plane's normal: along a
+        # direction orthogonal to n, q restricts to degree <= 1 and takes the
+        # closed form; along any other it has degree 2 and goes through Sturm
+        part, lines = case
+        n = _normal(part.round_factors[0])
+        square = TriPoly.linear(*n, 0)
+        q = square * square + TriPoly.linear(F(1), F(-2), F(1, 3), c)
+        factors = [*part.round_factors, q]
+        calls = []
+        samples = roots._samples
+
+        def counted(p):
+            calls.append(p)
+            return samples(p)
+
+        with mock.patch.object(roots, "_samples", counted):
+            for line in lines:
+                calls.clear()
+                got = partition.crossing_census(line, _part(*factors))
+                assert got == oracle.crossing_census(line, factors)
+                along = geom.dot(n, line.direction) == 0
+                restricted = oracle.restrict_to_line(q, line.origin, line.direction)
+                assert (oracle.udegree(restricted) >= 2) == (not along)
+                # the Sturm path runs only when the restriction has degree 2
+                assert len(calls) == (0 if along or got == 0 else 1)
 
 
 def _part(*factors):
