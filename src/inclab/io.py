@@ -30,7 +30,10 @@ small recursive writer, byte for byte
 `json.dumps(v, indent=2, sort_keys=True) + "\n"`, and any other value
 (bool, None, float, a dict with other keys) by `json.dumps` itself.
 `atomic_write` writes the UTF-8 bytes to a temporary file in the target's
-directory and renames it over the target.
+directory and renames it over the target.  The temporary file is created
+with mode 0o666 under the umask, so every output gets the mode a plain
+`open(path, "w")` gives a new file (0644 under umask 022), not the 0600 of
+`tempfile.mkstemp`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import json
 import json.encoder
 import os
 import re
-import tempfile
 from fractions import Fraction
 from typing import Sequence
 
@@ -331,12 +333,26 @@ def dumps_json(data) -> str:
 # ---------------------------------------------------------------------------
 # atomic writes
 
+# a temporary file must be new: O_EXCL fails on any existing name or link
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+_TEMP_ATTEMPTS = 100
+
+
 def atomic_write(path: str, content: str):
     """Write `content` to `path` as UTF-8 through a temporary file in the
-    same directory and `os.replace`, so the target is never half written."""
+    same directory and `os.replace`, so the target is never half written.
+    The temporary file gets mode 0o666 under the umask, as from `open`."""
     data = content.encode()
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".inclab-")
+    for _ in range(_TEMP_ATTEMPTS):  # a name already taken is drawn again
+        tmp = os.path.join(directory, f".inclab-{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, _NEW_FILE, 0o666)
+            break
+        except FileExistsError:
+            pass
+    else:
+        raise FileExistsError(f"no free temporary file name in {directory}")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -32,11 +32,18 @@ is read off power tables (o + t v)**e per axis.  When every restriction
 has degree at most 1, as for the planes of rounds 1 and 2, the count is
 the number of distinct roots plus one: a linear factor flips sign exactly
 once, at its root, a constant never, so the open intervals between the k
-distinct roots carry k + 1 pairwise distinct sign vectors.  Otherwise the
-sign vectors are taken at the dyadic sample points (a, k) between the
-roots of the product (`roots`, Sturm sequences), each sign from an integer
-Horner value.  Each of these is a positive multiple of the rational value,
-so every sign is exact.
+distinct roots carry k + 1 pairwise distinct sign vectors.  One quadratic
+restriction among them, as for the quadric of round 3, is closed form too:
+its discriminant says whether it flips at two roots r1 < r2, and the sign
+of s**2 q(p/s) at each linear root p/s says whether that root is r1 or r2
+or lies between them.  The count is again the number of distinct roots
+plus one, less one when no linear root lies in [r1, r2], since then the
+intervals on either side of [r1, r2] carry the same sign vector
+(`_crossings`).  Only a line with two quadratic restrictions (round 4) or
+one of higher degree takes the sign vectors at the dyadic sample points
+(a, k) between the roots of the product (`roots`, Sturm sequences), each
+sign from an integer Horner value.  Each of these is a positive multiple
+of the rational value, so every sign is exact.
 """
 
 from __future__ import annotations
@@ -360,8 +367,10 @@ def _restricted(factors: Sequence[TriPoly], origin: tuple[int, int, int],
 
 
 def crossing_census(line: Line, part: PartitionPolynomial) -> int:
-    """Distinct open-cell sign vectors met along a line, by exact univariate
-    root isolation of each factor restricted to the line, in integers."""
+    """Distinct open-cell sign vectors met along a line, from each factor's
+    restriction to the line in integers: in closed form when at most one
+    restriction has degree 2 and the rest degree <= 1, by exact univariate
+    root isolation otherwise (`_crossings`)."""
     ints, den = clear_denominators((*line.origin.as_tuple(), *line.direction))
     return _crossings(part.round_factors, ints[:3], ints[3:], den)
 
@@ -377,21 +386,56 @@ def _crossings(factors: Sequence[TriPoly], origin: tuple[int, int, int],
     changes sign exactly once, at -c0/c1.  Between any two of the k + 1
     open intervals cut by the k distinct roots lies a root, and the factor
     vanishing there flips there and nowhere else, so the k + 1 sign vectors
-    are pairwise distinct.  Roots are compared as gcd-reduced pairs with a
-    positive denominator.  Otherwise the sign vectors are read at sample
-    points between the roots of the factors' product (`roots._samples`).
+    are pairwise distinct.  Roots are compared as gcd-reduced pairs (p, s)
+    with s > 0; R is the set of them.
+
+    One restriction q = c0 + c1 t + c2 t**2 of degree 2 among them (as on
+    every line of a t = 3 build, whose third factor is a quadric) is closed
+    form too.
+    When c1**2 - 4 c0 c2 <= 0, q keeps its sign except at a double root,
+    which only splits one interval into two with the same sign vector, so
+    the count is |R| + 1.  Otherwise q flips at two simple roots r1 < r2,
+    and a pair (p, s) of R is r1 or r2 exactly when v = s**2 q(p/s) =
+    c0 s**2 + c1 p s + c2 p**2 is 0, and lies strictly between them exactly
+    when v has the sign of -c2.  With `at` pairs at r1 or r2 there are
+    k = |R| + 2 - at distinct roots.  Two of the k + 1 intervals carry the
+    same sign vector exactly when the roots between them flip every factor
+    an even number of times.  Every linear factor flips once, so no root
+    of R is between them, and q flips at r1 and at r2, so the roots between
+    them are r1 and r2 and nothing else.  So the count is k + 1, less one
+    when no root of R lies in [r1, r2]: `at` is 0 and no v has the sign of
+    -c2.
+
+    Any other line (a restriction of degree 3 or more, or two of degree 2
+    or more) reads its sign vectors at sample points between the roots of
+    the factors' product (`roots._samples`).
     """
     restricted = _restricted(factors, origin, direction, den)
     if not all(restricted):
         return 0  # the line lies inside some factor's zero set: always Z
-    if all(len(r) <= 2 for r in restricted):
-        found = set()
-        for r in restricted:
-            if len(r) == 2:
-                c0, c1 = r
-                g = math.gcd(c0, c1) if c1 > 0 else -math.gcd(c0, c1)
-                found.add((-c0 // g, c1 // g))
+    found = set()
+    higher = []
+    for r in restricted:
+        if len(r) == 2:
+            c0, c1 = r
+            g = math.gcd(c0, c1) if c1 > 0 else -math.gcd(c0, c1)
+            found.add((-c0 // g, c1 // g))
+        elif len(r) > 2:
+            higher.append(r)
+    if not higher:
         return len(found) + 1
+    if len(higher) == 1 and len(higher[0]) == 3:
+        [(c0, c1, c2)] = higher
+        if c1 * c1 <= 4 * c0 * c2:
+            return len(found) + 1
+        at = between = 0
+        for p, s in found:
+            v = (c0 * s + c1 * p) * s + c2 * p * p
+            if v == 0:
+                at += 1
+            elif (v > 0) != (c2 > 0):
+                between += 1
+        return len(found) + 3 - at - (at == 0 and between == 0)
     product = [1]
     for r in restricted:
         product = roots.umul(product, r)
@@ -415,11 +459,17 @@ def partition_to_jsonable(part: PartitionPolynomial) -> dict:
 
 
 def partition_from_jsonable(data: dict) -> PartitionPolynomial:
+    """The partition of a record as `partition_to_jsonable` writes it: rounds
+    and seed JSON integers, delta a rational string >= 0."""
     try:
-        factors, rounds = data["factors"], int(data["rounds"])
-        delta, seed = Fraction(data["delta"]), int(data["seed"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        factors, rounds, delta, seed = data["factors"], data["rounds"], data["delta"], data["seed"]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad partition record: {exc!r}") from exc
+    if type(rounds) is not int or type(seed) is not int:
+        raise ValidationError("partition record: rounds and seed must be integers")
+    delta = io.parse_rational(delta)
+    if delta < 0:
+        raise ValidationError("partition record: delta must be >= 0")
     if not isinstance(factors, list) or len(factors) != rounds:
         raise ValidationError(f"partition record needs one factor per round, {rounds} rounds")
     return PartitionPolynomial([io.tripoly_from_record(f) for f in factors], delta, seed)

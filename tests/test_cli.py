@@ -1,6 +1,8 @@
 import csv
 import io as _pyio
 import json
+import os
+import stat
 from fractions import Fraction as F
 
 import pytest
@@ -352,6 +354,24 @@ class TestWriterDifferential:
         io.atomic_write(str(path), text)
         assert path.read_bytes() == text.encode()
         assert [p.name for p in tmp_path.iterdir()] == ["big.txt"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)],
+                             ids=["022", "027", "077"])
+    def test_atomic_write_mode_follows_umask(self, tmp_path, umask, mode):
+        # a new file and a replaced one get 0o666 under the umask, as open() gives
+        new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+        kept.write_text("old")
+        kept.chmod(0o644)
+        old = os.umask(umask)
+        try:
+            io.atomic_write(str(new), "{}\n")
+            io.atomic_write(str(kept), "{}\n")
+        finally:
+            os.umask(old)
+        for path in (new, kept):
+            assert path.read_text() == "{}\n"
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "new.json"]
 
     def test_atomic_write_failure_leaves_no_temp(self, tmp_path):
         target = tmp_path / "dir"

@@ -437,8 +437,8 @@ class TestLinearRoundCrossings:
     @given(linear_round_cases(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
     def test_quadratic_restricted_to_a_line(self, case, c):
         # q = (n . p)^2 + m . p + c with n the first plane's normal: along a
-        # direction orthogonal to n, q restricts to degree <= 1 and takes the
-        # closed form; along any other it has degree 2 and goes through Sturm
+        # direction orthogonal to n, q restricts to degree <= 1, along any
+        # other to degree 2, and both take the closed form
         part, lines = case
         n = _normal(part.round_factors[0])
         square = TriPoly.linear(*n, 0)
@@ -459,8 +459,157 @@ class TestLinearRoundCrossings:
                 along = geom.dot(n, line.direction) == 0
                 restricted = oracle.restrict_to_line(q, line.origin, line.direction)
                 assert (oracle.udegree(restricted) >= 2) == (not along)
-                # the Sturm path runs only when the restriction has degree 2
-                assert len(calls) == (0 if along or got == 0 else 1)
+                # one restriction of degree 2 among planes needs no Sturm
+                assert len(calls) == 0
+
+
+def _gradient(f, p):
+    """The gradient of f at p: the t coefficient of f(p + t e) per axis e."""
+    axes = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    return tuple((oracle.restrict_to_line(f, p, e) + [F(0)] * 2)[1] for e in axes)
+
+
+def _quadric_case(factors, line):
+    """Which case of the closed form a line of planes and one quadric hits:
+    the sign of the quadric's discriminant along it, and where each plane
+    root lies against the quadric's roots, in `Fraction` arithmetic."""
+    restricted = [oracle.restrict_to_line(f, line.origin, line.direction) for f in factors]
+    degrees = [oracle.udegree(r) for r in restricted]
+    if min(degrees) < 0 or max(degrees) < 2:
+        return set()
+    [(c0, c1, c2)] = [oracle.utrim(r) for r, d in zip(restricted, degrees) if d == 2]
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc <= 0:
+        return {"disc<0" if disc < 0 else "disc=0"}
+    kinds = {"disc>0"}
+    for r, d in zip(restricted, degrees):
+        if d == 1:
+            v = oracle.ueval([c0, c1, c2], -r[0] / r[1])
+            kinds.add("at" if v == 0 else "between" if (v > 0) != (c2 > 0) else "outside")
+    return kinds
+
+
+def quadric_round_lines(rng, pts, part):
+    """(factors, lines) pairs for a t = 3 build: the build's own factors
+    with random integer and rational lines and lines through its points,
+    then its quadric shifted by a constant to pass through a build point P
+    (a line tangent to it at P) and through a point A of both planes (lines
+    through A, where every factor vanishes, and one tangent there)."""
+    first, second, quadric = part.round_factors
+    points = rng.sample(pts, 2)
+
+    def direction():
+        d = tuple(F(rng.randint(-9, 9), rng.choice([1, 1, 2, 5])) for _ in range(3))
+        return d if any(d) else (F(1), F(0), F(0))
+
+    def tangent(shifted, at):
+        return _along(_gradient(shifted, at), direction())
+
+    own = [Line(point(*(rng.randint(-50, 50) for _ in range(3))), direction()) for _ in range(3)]
+    own += [Line(point(*(F(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(3))),
+                 direction()) for _ in range(2)]
+    own += [Line(p, direction()) for p in points]
+    out = [(part.round_factors, own)]
+    p = points[0]
+    shifted = quadric - TriPoly.constant(quadric.evaluate(p))
+    out.append(([first, second, shifted], [Line(p, tangent(shifted, p))]))
+    anchor = _planes_meet(first, second)
+    if anchor is not None:
+        shifted = quadric - TriPoly.constant(quadric.evaluate(anchor))
+        out.append(([first, second, shifted],
+                    [Line(anchor, direction()), Line(anchor, tangent(shifted, anchor))]))
+    return out
+
+
+class TestQuadricRoundCrossings:
+    """Round 3 is a quadric: a line meeting two planes and one quadric is
+    counted from the linear roots and the quadric's two roots, and no root
+    isolation runs; two quadrics still go through Sturm."""
+
+    def test_matches_fraction_oracle(self):
+        cases, kinds = [], set()
+        for seed in range(24):
+            rng = random.Random(seed)
+            if seed % 2:
+                pts = random_points(16, seed=seed, lo=-99, hi=99)
+            else:
+                pts = set()
+                while len(pts) < 24:
+                    pts.add(point(*(F(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(3))))
+                pts = sorted(pts, key=lambda p: (p.x, p.y, p.z))
+            try:
+                part = partition.build_partition(pts, t=3, delta=F(1, 4), seed=seed)
+            except BudgetExhausted:
+                continue
+            for factors, lines in quadric_round_lines(rng, pts, part):
+                for line in lines:
+                    kinds |= _quadric_case(factors, line)
+                    cases.append((factors, line, oracle.crossing_census(line, factors)))
+        # every case of the closed form came up
+        assert kinds == {"disc<0", "disc=0", "disc>0", "at", "between", "outside"}
+        with mock.patch.object(roots, "_samples", side_effect=AssertionError("Sturm path")):
+            for factors, line, count in cases:
+                assert partition.crossing_census(line, _part(*factors)) == count
+                o, d = line.origin.as_tuple(), line.direction
+                if all(c.denominator == 1 for c in (*o, *d)):
+                    ints = [int(c) for c in (*o, *d)]
+                    assert partition._crossings(factors, ints[:3], ints[3:], 1) == count
+
+    # x - a and y - b with the sphere |p|^2 = 2 along (-2, 1, 0) + t (1, 0, 0),
+    # where the sphere is (t - 1)(t - 3)
+    SPHERE = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1), (0, 0, 0): F(-2)})
+    ALONG_X = Line(point(-2, 1, 0), (F(1), F(0), F(0)))
+
+    @pytest.mark.parametrize("factors, line, count, kinds", [
+        # the bowl x^2 + y^2 + 1 has no real point
+        ([TriPoly.linear(1, 0, 0, 0), TriPoly.linear(0, 1, 0, -2),
+          TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(1)})],
+         Line(point(-1, 1, 5), (F(1), F(-1), F(0))), 3, {"disc<0"}),
+        # y = 1 touches the cylinder x^2 + y^2 = 1 at t = 3: (t - 3)^2
+        ([TriPoly.linear(1, 0, 0, -5), TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(-1)})],
+         Line(point(-3, 1, 0), (F(1), F(0), F(0))), 2, {"disc=0"}),
+        # ... and the plane x = 0 vanishes at the double root too
+        ([TriPoly.linear(1, 0, 0, 0), TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 0): F(-1)})],
+         Line(point(-3, 1, 0), (F(1), F(0), F(0))), 2, {"disc=0"}),
+        ([TriPoly.linear(1, 0, 0, -5), SPHERE], ALONG_X, 3, {"disc>0", "outside"}),
+        ([TriPoly.linear(1, 0, 0, 0), SPHERE], ALONG_X, 4, {"disc>0", "between"}),
+        ([TriPoly.linear(1, 0, 0, 1), SPHERE], ALONG_X, 3, {"disc>0", "at"}),
+        # both roots of the sphere are plane roots
+        ([TriPoly.linear(1, 0, 0, 1), SPHERE, TriPoly.linear(1, 0, 0, -1)], ALONG_X, 3, {"disc>0", "at"}),
+        # a root at r1 and one outside: [r1, r2] holds a root, so no pair repeats
+        ([TriPoly.linear(1, 0, 0, 1), TriPoly.linear(1, 0, 0, -7), SPHERE], ALONG_X, 4,
+         {"disc>0", "at", "outside"}),
+        # roots on both sides of [r1, r2] and one inside
+        ([TriPoly.linear(1, 0, 0, 5), SPHERE, TriPoly.linear(1, 0, 0, 0), TriPoly.linear(1, 0, 0, -7)],
+         ALONG_X, 6, {"disc>0", "between", "outside"}),
+        # the same root twice, outside, and a rational root inside
+        ([TriPoly.linear(1, 0, 0, -5), TriPoly.linear(2, 0, 0, -10), SPHERE, TriPoly.linear(2, 0, 0, 1)],
+         ALONG_X, 5, {"disc>0", "between", "outside"}),
+    ])
+    def test_cases(self, factors, line, count, kinds):
+        assert _quadric_case(factors, line) == kinds
+        assert oracle.crossing_census(line, factors) == count
+        with mock.patch.object(roots, "_samples", side_effect=AssertionError("Sturm path")):
+            assert partition.crossing_census(line, _part(*factors)) == count
+
+    @pytest.mark.parametrize("factors, count", [
+        # two quadratic restrictions: the sphere (t - 1)(t - 3) and x^2 - 4
+        ([TriPoly.linear(1, 0, 0, 0), SPHERE, TriPoly({(2, 0, 0): F(1), (0, 0, 0): F(-4)})], 6),
+        # a cubic restriction: x^3 - x flips at x = -1, 0, 1, the plane at x = 5
+        ([TriPoly.linear(1, 0, 0, -5), TriPoly({(3, 0, 0): F(1), (1, 0, 0): F(-1)})], 3),
+    ])
+    def test_other_lines_take_the_sturm_path(self, factors, count):
+        calls = []
+        samples = roots._samples
+
+        def counted(p):
+            calls.append(p)
+            return samples(p)
+
+        with mock.patch.object(roots, "_samples", counted):
+            assert partition.crossing_census(self.ALONG_X, _part(*factors)) == count
+        assert len(calls) == 1
+        assert oracle.crossing_census(self.ALONG_X, factors) == count
 
 
 def _part(*factors):
@@ -641,13 +790,17 @@ class TestThresholdSweep:
 
 
 RECORD = {"rounds": 1, "delta": "1/4", "seed": 0, "factors": [{"1,0,0": "1"}]}
-# a missing key, an unparsable field, or a round count other than the factors'
+# a missing key, an unparsable field, a round count other than the factors',
+# a field of a type the writer never writes, or a negative delta
 BAD_RECORDS = [
     {},
     *({k: v for k, v in RECORD.items() if k != key} for key in RECORD),
     *({**RECORD, **change} for change in (
         {"rounds": "x"}, {"delta": "x"}, {"delta": "1/0"}, {"seed": "x"},
         {"rounds": 3}, {"rounds": 0}, {"factors": 1},
+        {"rounds": 1.9}, {"rounds": 1.0}, {"rounds": "1"}, {"rounds": True},
+        {"seed": 2.5}, {"seed": "0"}, {"seed": True}, {"seed": False},
+        {"delta": 0.1}, {"delta": 0}, {"delta": "-1/4"},
     )),
 ]
 
