@@ -112,9 +112,9 @@ def _is_surface(obj) -> bool:
 
 
 def _cmd_count(args) -> int:
-    pts = _load_points(args.points)
-    objs = _load_objects(args.objects)
-    _emit(args, {"incidences": len(engine._incidence_edges(pts, objs))})
+    points, den = io.points_frame_from_csv(_read(args.points))
+    rows = io.object_rows_from_json(_read(args.objects))
+    _emit(args, {"incidences": len(engine._frame_edges(points, den, rows))})
     return 0
 
 

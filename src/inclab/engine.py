@@ -2,14 +2,19 @@
 K_{r,s} detection, and generic projection to the plane.
 
 Counting, decomposition and the projection check find point-object
-incidences through one integer core, `_incidence_edges`: coordinates are
-cleared of denominators once, each distinct anchor object once through an
-identity table that lives for the call, and planes, spheres, lines and
-circles are bucketed by a shape key, so each point is looked up in the
-buckets rather than tested against every object.  Only implicit surfaces
-and curves are tested per pair, also in ints, through the integer form on
-each `TriPoly` (`TriPoly.integer_terms`) that the partition censuses use;
-each monomial is evaluated once per point and shared by all of them.
+incidences through one integer core, `_frame_edges`.  It takes the points
+as int triples over one denominator and the objects as integer rows: each
+centre and line origin over its own denominator, squared radii as integer
+pairs, primitive normals, directions and plane coefficients, and each
+implicit polynomial's `TriPoly.integer_terms`, the integer form that the
+partition censuses use.  `_incidence_edges` builds the rows from objects
+(`_object_rows`); `inclab count` reads them straight from its files
+(`io.points_frame_from_csv`, `io.object_rows_from_json`) and builds no
+object.  The core puts everything over one denominator and buckets
+planes, spheres, lines and circles by a shape key, so each point is looked
+up in the buckets rather than tested against every object.  Only implicit
+surfaces and curves are tested per pair, also in ints; each monomial is
+evaluated once per point and shared by all of them.
 Spheres and circles are matched by one routine, `_centred_edges`, over
 buckets keyed by integer centre and integer target (the scaled squared
 radius, computed in ints); a target shared by many centres is matched by
@@ -181,83 +186,111 @@ def _centred_edges(
     return edges
 
 
-def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[int, int]]:
-    """Every incident (point id, object id) pair; ids are indices.
+def _anchor(p: Point3) -> tuple[tuple[int, int, int], int]:
+    """((x, y, z), d): the point's coordinates times d, the lcm of their
+    denominators."""
+    (xyz,), d = geom.integer_coords([p])
+    return xyz, d
 
-    Points and the objects' anchor points are cleared of denominators once
-    (`geom.integer_coords`), so planes, spheres, lines and circles are
-    matched in Python ints.  Anchors are keyed by identity in a table that
-    lives only for the call: a parsed file shares one `Point3` per repeated
-    centre (`io.objects_from_json`), so a distance-sphere file clears each
-    centre once, not once per radius.  Each object is stored in a bucket
-    under a shape key, and a point looks up the value it takes under each
-    key instead of being tested against every object:
+
+def _object_rows(objects: Sequence) -> tuple[list, list, list, list]:
+    """The objects as the integer rows of `_frame_edges`; ids are indices."""
+    centred, planes, lines, implicit = rows = ([], [], [], [])
+    for oid, obj in enumerate(objects):
+        if isinstance(obj, (Sphere, Circle)):
+            r2 = obj.radius2
+            normal = primitive_vector(obj.normal) if isinstance(obj, Circle) else None
+            centred.append((_anchor(obj.center), r2.numerator, r2.denominator, normal, oid))
+        elif isinstance(obj, Plane):
+            planes.append((primitive_vector((obj.a, obj.b, obj.c, obj.d)), oid))
+        elif isinstance(obj, Line):
+            lines.append((primitive_vector(obj.direction), _anchor(obj.origin), oid))
+        elif isinstance(obj, (geom.Implicit, geom.ImplicitPair)):
+            polys = (obj.poly,) if isinstance(obj, geom.Implicit) else (obj.f, obj.g)
+            implicit.append((oid, [(f.degree(), f.integer_terms()) for f in polys]))
+        else:
+            raise UnsupportedObject(f"not a surface or curve: {type(obj).__name__}")
+    return rows
+
+
+def _frame_edges(
+    points: Sequence[tuple[int, int, int]], den: int, rows: tuple[list, list, list, list]
+) -> list[tuple[int, int]]:
+    """Every incident (point id, object id) pair, for points given as int
+    triples over den and objects given as integer rows (`_object_rows`,
+    `io.object_rows_from_json`).
+
+    An anchor is a point as ((x, y, z), d): its coordinates times d, the
+    lcm of their denominators.  The rows are four lists:
+
+    - spheres and circles: (anchor of the centre, numerator and denominator
+      of r^2, primitive normal or None for a sphere, object id);
+    - planes: (primitive (a, b, c, d) of the coefficients, object id);
+    - lines: (primitive direction v, anchor of the origin, object id);
+    - implicit surfaces and curves: (object id, [(degree,
+      `TriPoly.integer_terms()`)] per polynomial).
+
+    Everything is put in one frame, over D, the lcm of den and every
+    anchor's d, and matched in Python ints.  Each object is stored in a
+    bucket under a shape key, and a point looks up the value it takes under
+    each key instead of being tested against every object:
 
     - sphere or circle: integer centre C; |P - C|^2 against the integer
-      target den^2 r^2, computed as divmod(den^2 num(r^2), den(r^2)); then
-      n . (P - C) = 0 for the circles found (`_centred_edges`, which probes
-      the integer shell of a small shared target instead of scanning);
-    - plane: (a, b, c) of the primitive form (a, b, c, d) of its
-      coefficients; -(a, b, c) . P against den d, always an integer, so no
-      plane is skipped;
-    - line: primitive direction v; P x v against the moment O x v.
+      target D^2 r^2; then n . (P - C) = 0 for the circles found
+      (`_centred_edges`, which probes the integer shell of a small shared
+      target instead of scanning);
+    - plane: (a, b, c); -(a, b, c) . P against D d, always an integer, so
+      no plane is skipped;
+    - line: v; P x v against the moment O x v.
 
-    A sphere or circle whose target has a nonzero remainder holds no point
-    and is not stored.  Implicit surfaces and curves have no shape key and
-    are tested per pair, each polynomial's `integer_terms(den)` in ints;
-    each of their monomials is evaluated once per point, from per-point
-    power tables, and shared by all of them.
+    A sphere or circle whose target is not an integer holds no point and is
+    not stored.  Implicit surfaces and curves have no shape key and are
+    tested per pair, each polynomial's terms scaled to D^d f(P / D); each
+    of their monomials is evaluated once per point, from per-point tables
+    of the powers the monomials use, and shared by all of them.
     """
-    # id(anchor) -> anchor, one entry per distinct anchor object
-    anchors: dict[int, Point3] = {}
-    for obj in objects:
-        if isinstance(obj, (Sphere, Circle)):
-            anchors.setdefault(id(obj.center), obj.center)
-        elif isinstance(obj, Line):
-            anchors.setdefault(id(obj.origin), obj.origin)
-    coords, den = geom.integer_coords([*points, *anchors.values()])
-    anchor_of = dict(zip(anchors, coords[len(points):]))
-    den2 = den * den
-    # centre -> den^2 r^2 -> [(circle normal, or None for a sphere, oid)]
+    centred_rows, plane_rows, line_rows, implicit_rows = rows
+    frame = math.lcm(den, *[row[0][1] for row in centred_rows], *[row[1][1] for row in line_rows])
+    if frame != den:
+        scale = frame // den
+        points = [(x * scale, y * scale, z * scale) for x, y, z in points]
+    frame2 = frame * frame
+    # centre -> D^2 r^2 -> [(circle normal, or None for a sphere, oid)]
     centred: dict[tuple, dict[int, list[tuple[Optional[tuple], int]]]] = {}
+    for (centre, d), num, r2den, normal, oid in centred_rows:
+        target, rest = divmod(frame2 * num, r2den)
+        if rest:
+            continue
+        if d != frame:
+            scale = frame // d
+            centre = (centre[0] * scale, centre[1] * scale, centre[2] * scale)
+        centred.setdefault(centre, {}).setdefault(target, []).append((normal, oid))
     planes: dict[tuple, dict[int, list[int]]] = {}
+    for (a, b, c, d), oid in plane_rows:
+        planes.setdefault((a, b, c), {}).setdefault(frame * d, []).append(oid)
     lines: dict[tuple, dict[tuple, list[int]]] = {}
+    for direction, ((ox, oy, oz), d), oid in line_rows:
+        vx, vy, vz = direction
+        scale = frame // d
+        moment = (scale * (oy * vz - oz * vy), scale * (oz * vx - ox * vz),
+                  scale * (ox * vy - oy * vx))
+        lines.setdefault(direction, {}).setdefault(moment, []).append(oid)
     # implicit objects as [(oid, [[(c, monomial id)] per polynomial])]; each
     # monomial (i, j, k) is evaluated once per point and read by its id
     implicit = []
     monomials: dict[tuple[int, int, int], int] = {}
-    for oid, obj in enumerate(objects):
-        if isinstance(obj, (Sphere, Circle)):
-            r2 = obj.radius2
-            target, rest = divmod(den2 * r2.numerator, r2.denominator)
-            if rest:
-                continue
-            normal = primitive_vector(obj.normal) if isinstance(obj, Circle) else None
-            centred.setdefault(anchor_of[id(obj.center)], {}).setdefault(target, []).append(
-                (normal, oid)
-            )
-        elif isinstance(obj, Plane):
-            a, b, c, d = primitive_vector((obj.a, obj.b, obj.c, obj.d))
-            planes.setdefault((a, b, c), {}).setdefault(den * d, []).append(oid)
-        elif isinstance(obj, Line):
-            vx, vy, vz = direction = primitive_vector(obj.direction)
-            ox, oy, oz = anchor_of[id(obj.origin)]
-            moment = (oy * vz - oz * vy, oz * vx - ox * vz, ox * vy - oy * vx)
-            lines.setdefault(direction, {}).setdefault(moment, []).append(oid)
-        elif isinstance(obj, (geom.Implicit, geom.ImplicitPair)):
-            polys = (obj.poly,) if isinstance(obj, geom.Implicit) else (obj.f, obj.g)
-            implicit.append((oid, [
-                [(c, monomials.setdefault((i, j, k), len(monomials)))
-                 for c, i, j, k in f.integer_terms(den)]
-                for f in polys
-            ]))
-        else:
-            raise UnsupportedObject(f"not a surface or curve: {type(obj).__name__}")
+    for oid, polys in implicit_rows:
+        implicit.append((oid, [
+            [(c * frame ** (degree - i - j - k), monomials.setdefault((i, j, k), len(monomials)))
+             for c, i, j, k in terms]
+            for degree, terms in polys
+        ]))
 
-    point_coords = coords[: len(points)]
-    edges = _centred_edges(point_coords, centred)
-    exponents = range(1 + max((max(m) for m in monomials), default=0))
-    for pid, (x, y, z) in enumerate(point_coords):
+    edges = _centred_edges(points, centred)
+    # the exponents each axis uses, so a sparse high-degree monomial costs
+    # one power per point, not one per exponent below it
+    powers = [sorted({m[axis] for m in monomials}) for axis in range(3)]
+    for pid, (x, y, z) in enumerate(points):
         for (a, b, c), by_target in planes.items():
             hit = by_target.get(-(a * x + b * y + c * z))
             if hit:
@@ -267,13 +300,20 @@ def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[
             if hit:
                 edges.extend((pid, oid) for oid in hit)
         if implicit:
-            xs, ys, zs = ([v**e for e in exponents] for v in (x, y, z))
+            xs, ys, zs = ({e: v**e for e in used} for v, used in zip((x, y, z), powers))
             values = [xs[i] * ys[j] * zs[k] for i, j, k in monomials]
             edges.extend(
                 (pid, oid) for oid, forms in implicit
                 if all(sum([c * values[m] for c, m in terms]) == 0 for terms in forms)
             )
     return edges
+
+
+def _incidence_edges(points: Sequence[Point3], objects: Sequence) -> list[tuple[int, int]]:
+    """Every incident (point id, object id) pair; ids are indices
+    (`_frame_edges` of `_object_rows`)."""
+    coords, den = geom.integer_coords(points)
+    return _frame_edges(coords, den, _object_rows(objects))
 
 
 def count_incidences(points: Sequence[Point3], objects: Sequence) -> tuple[int, IncidenceGraph]:

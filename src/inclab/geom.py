@@ -6,10 +6,12 @@ exactly.  Radii of spheres and circles are stored *squared* so that the whole
 pipeline stays inside the rationals.
 
 The integer frame lives here as well: `clear_denominators` is the one place
-where rational values become ints over their common denominator.
+where `Fraction` values become ints over their common denominator.
 `integer_coords` applies it to points, `primitive_vector` to vectors and
 `TriPoly.integer_terms` to polynomials; the integer cores of `engine`,
-`apps`, `partition` and `roots` start from these.
+`apps`, `partition` and `roots` start from these.  The file readers in
+`io` keep rationals as int pairs and clear those themselves, so `inclab
+count` reaches the same frame without a `Fraction`.
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ def primitive_vector(v: Iterable[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
     # ints and Fractions are exact as they are; frac rejects floats
     ints, _ = clear_denominators([c if isinstance(c, (int, Fraction)) else frac(c) for c in v])
+    return primitive_ints(ints)
+
+
+def primitive_ints(ints: list[int]) -> tuple[int, ...]:
+    """`primitive_vector` of an integer vector."""
     g = math.gcd(*ints)
     if g == 0:
         raise ValidationError("zero vector has no primitive form")

@@ -460,16 +460,22 @@ def partition_to_jsonable(part: PartitionPolynomial) -> dict:
 
 def partition_from_jsonable(data: dict) -> PartitionPolynomial:
     """The partition of a record as `partition_to_jsonable` writes it: rounds
-    and seed JSON integers, delta a rational string >= 0."""
+    and seed JSON integers, 1 to 4 rounds as `build_partition` allows, delta
+    a rational string >= 0, and one nonzero factor per round."""
     try:
         factors, rounds, delta, seed = data["factors"], data["rounds"], data["delta"], data["seed"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad partition record: {exc!r}") from exc
     if type(rounds) is not int or type(seed) is not int:
         raise ValidationError("partition record: rounds and seed must be integers")
+    if not 1 <= rounds <= 4:
+        raise ValidationError("partition record: rounds must be between 1 and 4")
     delta = io.parse_rational(delta)
     if delta < 0:
         raise ValidationError("partition record: delta must be >= 0")
     if not isinstance(factors, list) or len(factors) != rounds:
         raise ValidationError(f"partition record needs one factor per round, {rounds} rounds")
-    return PartitionPolynomial([io.tripoly_from_record(f) for f in factors], delta, seed)
+    factors = [io.tripoly_from_record(f) for f in factors]
+    if any(f.is_zero() for f in factors):
+        raise ValidationError("partition record: a round factor is the zero polynomial")
+    return PartitionPolynomial(factors, delta, seed)

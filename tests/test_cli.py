@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io as _pyio
 import json
 import os
 import stat
+import tempfile
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from inclab import apps, cli, construct, engine, io
+from inclab import apps, cli, construct, engine, geom, io
 from inclab.errors import ValidationError
 from inclab.geom import (
     Circle, Implicit, ImplicitPair, Line, Plane, Point3, Sphere, TriPoly, point,
 )
+from test_engine import incidence_instances
 
 
 # coordinate fields that are not a JSON array of the right length
@@ -167,6 +170,26 @@ object_records = st.one_of(
 )
 
 
+MALFORMED_POINT_FIELDS = [
+    ["1", "2", "3", "4"], ["1", "2"], ["1", 2, "3"], [["1"], "2", "3"], ["1", ["2"], "3"],
+    [{"1": "1"}, "2", "3"], {"1": "0", "2": "0", "3": "0"}, "123", None, ["1", "2", "x"],
+]
+
+
+def _point_field_files(field, valid_first: bool) -> list[str]:
+    """An objects file per kind with a point field: the field in a record,
+    after a record with a valid array of the same strings if valid_first."""
+    texts = []
+    for kind, key in [("sphere", "center"), ("line", "origin"), ("circle", "center")]:
+        def record(value):
+            return {"kind": kind, key: value, "radius2": "1",
+                    "direction": ["1", "0", "0"], "normal": ["0", "0", "1"]}
+
+        records = [record(["1", "2", "3"])] if valid_first else []
+        texts.append(json.dumps([*records, record(field)]))
+    return texts
+
+
 class TestParserDifferential:
     """`io`'s integer fast path and per-file interning against the parsers
     that send every field through `Fraction(s.strip())`."""
@@ -227,20 +250,12 @@ class TestParserDifferential:
 
     # each malformed point field, alone and after a valid array of the
     # same strings
-    @pytest.mark.parametrize("field", [
-        ["1", "2", "3", "4"], ["1", "2"], ["1", 2, "3"], [["1"], "2", "3"], ["1", ["2"], "3"],
-        [{"1": "1"}, "2", "3"], {"1": "0", "2": "0", "3": "0"}, "123", None, ["1", "2", "x"],
-    ])
+    @pytest.mark.parametrize("field", MALFORMED_POINT_FIELDS)
     @pytest.mark.parametrize("valid_first", [False, True])
     def test_malformed_point_field_first_or_repeated(self, field, valid_first):
-        for kind, key in [("sphere", "center"), ("line", "origin"), ("circle", "center")]:
-            def record(value):
-                return {"kind": kind, key: value, "radius2": "1",
-                        "direction": ["1", "0", "0"], "normal": ["0", "0", "1"]}
-
-            records = [record(["1", "2", "3"])] if valid_first else []
+        for text in _point_field_files(field, valid_first):
             with pytest.raises(ValidationError):
-                io.objects_from_json(json.dumps([*records, record(field)]))
+                io.objects_from_json(text)
 
     def test_generated_instances(self, tmp_path):
         prefix = str(tmp_path / "ds")
@@ -249,6 +264,177 @@ class TestParserDifferential:
         objects = (tmp_path / "ds.objects.json").read_text()
         assert io.points_from_csv(points) == oracle.points_from_csv(points)
         assert io.objects_from_json(objects) == oracle.objects_from_json(objects)
+
+
+def _csv(rows, header=("x", "y", "z")) -> str:
+    buf = _pyio.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _respell(s: str, how: int) -> str:
+    """A rational string as `io` writes it, spelled another way that
+    `Fraction(s.strip())` reads as the same value."""
+    value = F(s)
+    if how == 1:
+        return f"{2 * value.numerator}/{2 * value.denominator}"
+    if how == 2:
+        return f" {s}\t"
+    if how == 3 and value.denominator == 1:
+        return f"{value.numerator}.0"
+    if how == 4 and value > 0:
+        return f"+{s}"
+    return s
+
+
+def _respelled(value, rnd, spelling: dict):
+    """A record tree with its rational strings respelled at random: each
+    string mostly one way throughout (`spelling`), so that repeated fields
+    stay repeated, and sometimes another way."""
+    if type(value) is list:
+        return [_respelled(v, rnd, spelling) for v in value]
+    if type(value) is dict:
+        return {k: v if k == "kind" else _respelled(v, rnd, spelling) for k, v in value.items()}
+    how = spelling.setdefault(value, rnd.randrange(5))
+    return _respell(value, how if rnd.random() < 0.8 else rnd.randrange(5))
+
+
+# radii^2 over a prime above the instances' denominators (at most 12)
+OFF_FRAME_RADII = st.builds(F, st.integers(1, 60), st.sampled_from([13, 17, 19]))
+
+
+@st.composite
+def count_files(draw):
+    """Points and objects of every kind (`test_engine.incidence_instances`:
+    mixed denominators, objects through chosen points, duplicates), with
+    more spheres around the centres of spheres and circles: through a point,
+    just off one, or with a radius^2 that is mostly not an integer in the
+    frame.  They are written to files whose rationals are spelled several
+    ways."""
+    pts, objs = draw(incidence_instances())
+    anchors = [o.origin if isinstance(o, Line) else o.center
+               for o in objs if isinstance(o, (Sphere, Circle, Line))]
+    _, den = geom.integer_coords([*pts, *anchors])
+    for obj in list(objs):
+        if isinstance(obj, (Sphere, Circle)):
+            through = geom.dist2(obj.center, draw(st.sampled_from(pts)))
+            # just off a point: den^2 r^2 falls 1/13 past an integer
+            off = through + F(1, 13 * den * den)
+            for r2 in draw(st.lists(st.sampled_from([through, off]) | OFF_FRAME_RADII,
+                                    max_size=2)):
+                if r2 > 0:
+                    objs.append(Sphere(obj.center, r2))
+    rnd, spelling = draw(st.randoms(use_true_random=False)), {}
+    points_text = _csv(_respelled([io._point_field(p) for p in pts], rnd, spelling))
+    objects_text = json.dumps(_respelled([io.object_to_record(o) for o in objs], rnd, spelling))
+    return pts, objs, points_text, objects_text
+
+
+def _count(points_text: str, objects_text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `inclab count` on the two texts."""
+    out, err = _pyio.StringIO(), _pyio.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        ppath, opath = os.path.join(tmp, "p.csv"), os.path.join(tmp, "o.json")
+        with open(ppath, "w") as fh:
+            fh.write(points_text)
+        with open(opath, "w") as fh:
+            fh.write(objects_text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["count", "--points", ppath, "--objects", opath])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _count_through_objects(points_text: str, objects_text: str) -> tuple[int, str, str]:
+    """What `inclab count` writes, from `io.points_from_csv`,
+    `io.objects_from_json` and the all-pairs oracle."""
+    try:
+        pts = io.points_from_csv(points_text)
+        objs = io.objects_from_json(objects_text)
+    except ValidationError as exc:
+        return 1, "", json.dumps({"error": "validation", "message": str(exc)}) + "\n"
+    return 0, io.dumps_json({"incidences": len(oracle.incidence_edges(pts, objs))}), ""
+
+
+class TestCountReader:
+    """`inclab count` reads its files straight into integer rows; it must
+    count what the all-pairs oracle counts on the parsed objects and refuse
+    what `io.points_from_csv` and `io.objects_from_json` refuse, with the
+    same message, points first."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(count_files())
+    def test_count_matches_all_pairs_oracle(self, files):
+        pts, objs, points_text, objects_text = files
+        assert io.points_from_csv(points_text) == pts
+        assert io.objects_from_json(objects_text) == objs
+        want = io.dumps_json({"incidences": len(oracle.incidence_edges(pts, objs))})
+        assert _count(points_text, objects_text) == (0, want, "")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(field_strings, field_strings, field_strings), max_size=4),
+           st.sampled_from([("x", "y", "z"), (" x", "y ", "z"), ("x", "y")]),
+           st.lists(object_records, max_size=6))
+    def test_count_refuses_what_the_parsers_refuse(self, rows, header, records):
+        points_text, objects_text = _csv(rows, header), json.dumps(records)
+        assert _count(points_text, objects_text) == _count_through_objects(points_text, objects_text)
+
+    @pytest.mark.parametrize("field", MALFORMED_POINT_FIELDS)
+    @pytest.mark.parametrize("valid_first", [False, True])
+    def test_count_refuses_malformed_point_field(self, field, valid_first):
+        points_text = _csv([("1", "2", "3")])
+        for objects_text in _point_field_files(field, valid_first):
+            got = _count(points_text, objects_text)
+            assert got[0] == 1
+            assert got == _count_through_objects(points_text, objects_text)
+
+    @pytest.mark.parametrize("objects_text", [
+        "{not json", "{}", "[1]", '[{"kind": "torus"}]', '[{"kind": "sphere"}]',
+        '[{"kind": "implicit", "poly": {"0,0,0": "1"}}]',
+        '[{"kind": "implicit", "poly": {"-1,0,0": "1"}}]',
+        '[{"kind": "implicit_pair", "f": {"1,0,0": "2"}, "g": {"1,0,0": "-4/3"}}]',
+        '[{"kind": "implicit_pair", "f": {}, "g": {"1,0,0": "1"}}]',
+        '[{"kind": "plane", "coeffs": ["0", "0", "0", "1"]}]',
+        '[{"kind": "sphere", "center": ["0", "0", "0"], "radius2": "0"}]',
+        '[{"kind": "line", "origin": ["0", "0", "0"], "direction": ["0", "0/3", "0"]}]',
+        '[{"kind": "circle", "center": ["0", "0", "0"], "normal": ["0", "0", "0"], '
+        '"radius2": "0"}]',
+        '[{"kind": "circle", "center": ["0", "0", "0"], "normal": ["0", "0", "1"], '
+        '"radius2": "-1/2"}]',
+    ])
+    def test_count_refuses_malformed_record(self, objects_text):
+        for points_text in (_csv([("1", "2", "3")]), "1,2,3\n"):
+            got = _count(points_text, objects_text)
+            assert got[0] == 1
+            assert got == _count_through_objects(points_text, objects_text)
+
+    def test_count_of_implicit_terms_that_cancel(self):
+        # "1,0,0" and "01,0,0" name one monomial; the later value, 0, drops it,
+        # and a negative exponent on a zero coefficient is dropped with it
+        points_text = _csv([("0", "0", "1"), ("0", "0", "2"), ("1", "0", "1")])
+        objects_text = json.dumps([{"kind": "implicit", "poly": {
+            "1,0,0": "1", "0,0,1": "1", "01,0,0": "0", "-1,0,0": "0/5", "0,0,0": "-1"}}])
+        assert _count(points_text, objects_text) == (0, '{\n  "incidences": 2\n}\n', "")
+        assert _count(points_text, objects_text) == _count_through_objects(
+            points_text, objects_text)
+
+    def test_count_builds_no_geometric_object(self, tmp_path, capsys, monkeypatch):
+        p1 = [point(0, 0, 0), point(1, 1, 2), point(-1, 2, 5), point(F(1, 2), 0, 1)]
+        p2 = [point(3, 0, 1), point(F(1, 2), -1, 0)]
+        (tmp_path / "p1.csv").write_text(io.points_to_csv(p1))
+        (tmp_path / "p2.csv").write_text(io.points_to_csv(p2))
+        prefix = str(tmp_path / "ds")
+        assert cli.main(["generate", "distance-spheres", "--points", str(tmp_path / "p1.csv"),
+                         "--points2", str(tmp_path / "p2.csv"), "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+
+        def refuse(self):
+            raise AssertionError(f"inclab count built a {type(self).__name__}")
+
+        monkeypatch.setattr(geom.Sphere, "__post_init__", refuse)
+        monkeypatch.setattr(geom.Point3, "__post_init__", refuse)
+        assert cli.main(["count", "--points", prefix + ".points.csv",
+                         "--objects", prefix + ".objects.json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"incidences": len(p1) * len(p2)}
 
 
 # strings the JSON writer must escape: quotes, backslashes, control and

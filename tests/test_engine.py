@@ -178,6 +178,19 @@ class TestDifferential:
         assert got.residual_edges == want.residual_edges
 
 
+    def test_sparse_high_degree_monomials(self):
+        # a power table over every exponent up to 20000 took seconds; the
+        # tables hold only the exponents the monomials use
+        pts = [point(0, 1, 2), point(1, 0, 0), point(3, 2, 1), point(1, -1, 0),
+               point(F(1, 2), 1, 0), point(-1, 1, 0)]
+        objs = [geom.Implicit(TriPoly({(20000, 0, 0): F(1)})),
+                geom.Implicit(TriPoly({(20000, 0, 0): F(1), (1, 0, 0): F(-1)})),
+                geom.ImplicitPair(TriPoly({(0, 15001, 0): F(1), (0, 0, 0): F(-1)}),
+                                  TriPoly({(0, 0, 1): F(1)}))]
+        _assert_matches_oracle(pts, objs)
+        assert len(engine._incidence_edges(pts, objs)) == 6
+
+
 CUBE = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
 
 
@@ -200,8 +213,8 @@ def lattice_spheres(draw):
 
 
 class TestCentredMatching:
-    """Shell probing and scanning in `_centred_edges`, and the identity
-    table of anchors in `_incidence_edges`, against the all-pairs oracle."""
+    """Shell probing and scanning in `_centred_edges` against the all-pairs
+    oracle, and centres shared in the reader's rows."""
 
     def test_integer_shell_matches_cube_scan(self):
         side = math.isqrt(300)
@@ -267,24 +280,26 @@ class TestCentredMatching:
         for objs in (spheres, parsed):
             _assert_matches_oracle(p1, objs)
 
-    def test_each_distinct_anchor_cleared_once(self, monkeypatch):
+    def test_each_distinct_centre_cleared_once(self, monkeypatch):
         p1 = [point(x, y, x * x + y * y) for x, y in [(0, 0), (1, 2), (-3, 1), (2, 2)]]
         p2 = [point(5, 5, 5), point(-1, 4, 0), point(F(1, 2), 0, 3)]
         spheres, t = construct.gen_distance_spheres(p1, p2)
-        parsed = io.objects_from_json(io.objects_to_json(spheres))
+        text = io.objects_to_json(spheres)
         cleared = []
 
-        def recording_coords(pts):
-            pts = list(pts)
-            cleared.append(len(pts))
-            return integer_coords(pts)
+        def recording(ratios):
+            cleared.append(len(ratios))
+            return clear(ratios)
 
-        integer_coords = geom.integer_coords
-        monkeypatch.setattr(geom, "integer_coords", recording_coords)
-        edges = engine._incidence_edges(p1, parsed)
-        assert len(parsed) == len(p2) * t > len(p2)
-        assert cleared == [len(p1) + len(p2)]
-        assert len(edges) == len(p1) * len(p2)
+        clear = io._cleared
+        monkeypatch.setattr(io, "_cleared", recording)
+        rows = io.object_rows_from_json(text)
+        centred = rows[0]
+        assert len(centred) == len(p2) * t > len(p2)
+        assert cleared == [3] * len(p2)
+        assert len({id(row[0]) for row in centred}) == len(p2)
+        coords, den = geom.integer_coords(p1)
+        assert len(engine._frame_edges(coords, den, rows)) == len(p1) * len(p2)
 
 
 class TestDecompose:

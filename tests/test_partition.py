@@ -791,7 +791,8 @@ class TestThresholdSweep:
 
 RECORD = {"rounds": 1, "delta": "1/4", "seed": 0, "factors": [{"1,0,0": "1"}]}
 # a missing key, an unparsable field, a round count other than the factors',
-# a field of a type the writer never writes, or a negative delta
+# a field of a type the writer never writes, a negative delta, a round count
+# outside 1..4, or a zero factor
 BAD_RECORDS = [
     {},
     *({k: v for k, v in RECORD.items() if k != key} for key in RECORD),
@@ -801,6 +802,8 @@ BAD_RECORDS = [
         {"rounds": 1.9}, {"rounds": 1.0}, {"rounds": "1"}, {"rounds": True},
         {"seed": 2.5}, {"seed": "0"}, {"seed": True}, {"seed": False},
         {"delta": 0.1}, {"delta": 0}, {"delta": "-1/4"},
+        {"rounds": 0, "factors": []}, {"rounds": 5, "factors": [{"1,0,0": "1"}] * 5},
+        {"factors": [{}]}, {"factors": [{"1,0,0": "0"}]},
     )),
 ]
 
