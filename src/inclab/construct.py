@@ -256,4 +256,4 @@ def circle_axis_multiplicity(gamma: Circle, P2: Sequence[Point3]) -> int:
     """Number of P2 points on the axis of the circle (the line through its
     center along its normal); equals the number of family spheres through
     the circle up to the radius-pairing factor."""
-    return len(engine._incidence_edges(P2, [gamma.axis()]))
+    return sum(geom.on_axis(p, gamma) for p in P2)

@@ -7,14 +7,14 @@ as int triples over one denominator and the objects as integer rows: each
 centre and line origin over its own denominator, squared radii as integer
 pairs, primitive normals, directions and plane coefficients, and each
 implicit polynomial's `TriPoly.integer_terms`, the integer form that the
-partition censuses use.  `_incidence_edges` builds the rows from objects
-(`_object_rows`); `inclab count` reads them straight from its files
-(`io.points_frame_from_csv`, `io.object_rows_from_json`) and builds no
-object.  The core puts everything over one denominator and buckets
-planes, spheres, lines and circles by a shape key, so each point is looked
-up in the buckets rather than tested against every object.  Only implicit
-surfaces and curves are tested per pair, also in ints; each monomial is
-evaluated once per point and shared by all of them.
+partition censuses use.  `_incidence_edges` reads the rows off the objects'
+integer forms (`_object_rows`); `inclab count` reads them straight from its
+files (`io.points_frame_from_csv`, `io.object_rows_from_json`) and builds no
+object.  The core puts everything over one denominator and buckets planes,
+spheres, lines and circles by a shape key, so each point is looked up in the
+buckets rather than tested against every object.  Only implicit surfaces and
+curves are tested per pair, also in ints; each monomial is evaluated once
+per point and shared by all of them.
 Spheres and circles are matched by one routine, `_centred_edges`, over
 buckets keyed by integer centre and integer target (the scaled squared
 radius, computed in ints); a target shared by many centres is matched by
@@ -186,25 +186,18 @@ def _centred_edges(
     return edges
 
 
-def _anchor(p: Point3) -> tuple[tuple[int, int, int], int]:
-    """((x, y, z), d): the point's coordinates times d, the lcm of their
-    denominators."""
-    (xyz,), d = geom.integer_coords([p])
-    return xyz, d
-
-
 def _object_rows(objects: Sequence) -> tuple[list, list, list, list]:
-    """The objects as the integer rows of `_frame_edges`; ids are indices."""
+    """The objects' integer forms (`ints`) as the rows of `_frame_edges`; ids are indices."""
     centred, planes, lines, implicit = rows = ([], [], [], [])
     for oid, obj in enumerate(objects):
-        if isinstance(obj, (Sphere, Circle)):
-            r2 = obj.radius2
-            normal = primitive_vector(obj.normal) if isinstance(obj, Circle) else None
-            centred.append((_anchor(obj.center), r2.numerator, r2.denominator, normal, oid))
+        if isinstance(obj, Sphere):
+            centred.append((*obj.ints, None, oid))
+        elif isinstance(obj, Circle):
+            centred.append((*obj.ints, oid))
         elif isinstance(obj, Plane):
-            planes.append((primitive_vector((obj.a, obj.b, obj.c, obj.d)), oid))
+            planes.append((obj.ints, oid))
         elif isinstance(obj, Line):
-            lines.append((primitive_vector(obj.direction), _anchor(obj.origin), oid))
+            lines.append((*obj.ints, oid))
         elif isinstance(obj, (geom.Implicit, geom.ImplicitPair)):
             polys = (obj.poly,) if isinstance(obj, geom.Implicit) else (obj.f, obj.g)
             implicit.append((oid, [(f.degree(), f.integer_terms()) for f in polys]))
@@ -220,18 +213,18 @@ def _frame_edges(
     triples over den and objects given as integer rows (`_object_rows`,
     `io.object_rows_from_json`).
 
-    An anchor is a point as ((x, y, z), d): its coordinates times d, the
-    lcm of their denominators.  The rows are four lists:
+    A point's form ((x, y, z), d) (`geom.Point3.ints`) is its coordinates
+    times d, the lcm of their denominators.  The rows are four lists:
 
-    - spheres and circles: (anchor of the centre, numerator and denominator
+    - spheres and circles: (form of the centre, numerator and denominator
       of r^2, primitive normal or None for a sphere, object id);
     - planes: (primitive (a, b, c, d) of the coefficients, object id);
-    - lines: (primitive direction v, anchor of the origin, object id);
+    - lines: (primitive direction v, form of the origin, object id);
     - implicit surfaces and curves: (object id, [(degree,
       `TriPoly.integer_terms()`)] per polynomial).
 
     Everything is put in one frame, over D, the lcm of den and every
-    anchor's d, and matched in Python ints.  Each object is stored in a
+    point form's d, and matched in Python ints.  Each object is stored in a
     bucket under a shape key, and a point looks up the value it takes under
     each key instead of being tested against every object:
 
@@ -352,6 +345,8 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
         canon.append(canonicalize(s))
     if len(set(canon)) != len(canon):
         raise ValidationError("surfaces must be pairwise distinct")
+    if len(set(points)) != len(points):
+        raise ValidationError("points must be distinct")
 
     curve_surfaces: dict[Curve, set[int]] = {}
     for i, j in itertools.combinations(range(len(surfaces)), 2):
@@ -479,11 +474,16 @@ def project_generic(points: Sequence[Point3], curves: Sequence[Curve], seed: int
 
     Validates exactly that projected points are pairwise distinct, that
     incidences and non-incidences are preserved, and that curve images are
-    pairwise distinct; reseeds up to 16 times on failure.
+    pairwise distinct; reseeds up to 16 times on failure, after refusing
+    repeated points or curves, which no projection keeps apart.
     """
     for c in curves:
         if isinstance(c, geom.ImplicitPair):
             raise UnsupportedObject("project_generic supports lines and circles only")
+    if len(set(points)) != len(points):
+        raise ValidationError("points must be distinct")
+    if len({canonicalize(c) for c in curves}) != len(curves):
+        raise ValidationError("curves must be pairwise distinct")
     incident = set(_incidence_edges(points, curves))
     for attempt in range(16):
         rng = random.Random(f"{seed}:{attempt}")

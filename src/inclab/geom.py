@@ -1,17 +1,20 @@
 """Exact rational geometric kernel.
 
-Scalars are `fractions.Fraction` (arbitrary precision, always reduced, exact
-arithmetic), points are rational 3-vectors, and every predicate is decided
-exactly.  Radii of spheres and circles are stored *squared* so that the whole
-pipeline stays inside the rationals.
-
-The integer frame lives here as well: `clear_denominators` is the one place
-where `Fraction` values become ints over their common denominator.
-`integer_coords` applies it to points, `primitive_vector` to vectors and
-`TriPoly.integer_terms` to polynomials; the integer cores of `engine`,
-`apps`, `partition` and `roots` start from these.  The file readers in
-`io` keep rationals as int pairs and clear those themselves, so `inclab
-count` reaches the same frame without a `Fraction`.
+Scalars are `fractions.Fraction` (always reduced), points are rational
+3-vectors, and radii are stored *squared*, so objects stay rational.
+`clear_denominators` is the one place where `Fraction`s become ints over
+their common denominator: `integer_coords` applies it to points,
+`primitive_vector` to vectors and `TriPoly.integer_terms` to polynomials,
+and the integer cores of `engine`, `apps`, `partition` and `roots` start
+from these (`io` clears its int pairs itself, so `inclab count` builds no
+`Fraction`).  Each `Point3`, `Plane`, `Sphere`, `Line` and `Circle` has
+one integer form, `ints`: coordinates over their own denominator, r^2 as
+an int pair, primitive coefficients, directions and normals.  It is built
+on first read into the instance `__dict__` (`_form`), so construction,
+`==`, `hash` and `repr` are untouched.  The predicates and the plane and
+sphere meets decide in ints on these forms, cross-multiplying
+denominators, and build `Fraction`s only for the objects they return;
+their `Fraction` forms are the references in `tests/oracle.py`.
 """
 
 from __future__ import annotations
@@ -106,6 +109,21 @@ def primitive_ints(ints: list[int]) -> tuple[int, ...]:
     return tuple([c // g for c in ints])
 
 
+class _form:
+    """An object's `ints`, built on the first read and kept in the instance
+    `__dict__`, where later reads find it before this non-data descriptor;
+    unlike `functools.cached_property`, it takes no lock."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        form = obj.__dict__["ints"] = self.build(obj)
+        return form
+
+
 @dataclass(frozen=True)
 class Point3:
     x: Fraction
@@ -121,6 +139,12 @@ class Point3:
 
     def as_tuple(self) -> Vec3:
         return (self.x, self.y, self.z)
+
+    @_form
+    def ints(self) -> tuple[tuple[int, int, int], int]:
+        """((x, y, z), d): the coordinates times d, the lcm of their denominators."""
+        (x, y, z), d = clear_denominators(self.as_tuple())
+        return (x, y, z), d
 
 
 def point(x, y, z) -> Point3:
@@ -325,8 +349,8 @@ class Plane:
         if self.a == 0 and self.b == 0 and self.c == 0:
             raise ValidationError("plane normal must be nonzero")
 
-    def normal(self) -> Vec3:
-        return (self.a, self.b, self.c)
+    # the primitive (a, b, c, d), whose first nonzero entry is one of a, b, c
+    ints = _form(lambda self: primitive_vector((self.a, self.b, self.c, self.d)))
 
 
 @dataclass(frozen=True)
@@ -339,6 +363,9 @@ class Sphere:
             object.__setattr__(self, "radius2", frac(self.radius2))
         if self.radius2.numerator <= 0:  # the sign; cheaper than a Fraction comparison
             raise ValidationError("sphere needs radius2 > 0")
+
+    # (centre's ints, numerator and denominator of r^2)
+    ints = _form(lambda self: (self.center.ints, self.radius2.numerator, self.radius2.denominator))
 
 
 @dataclass(frozen=True)
@@ -369,6 +396,9 @@ class Line:
         if is_zero_vec(self.direction):
             raise ValidationError("line direction must be nonzero")
 
+    # (primitive direction, origin's ints)
+    ints = _form(lambda self: (primitive_vector(self.direction), self.origin.ints))
+
 
 @dataclass(frozen=True)
 class Circle:
@@ -392,8 +422,9 @@ class Circle:
         n = self.normal
         return Plane(n[0], n[1], n[2], -dot(n, self.center.as_tuple()))
 
-    def axis(self) -> "Line":
-        return Line(self.center, self.normal)
+    # (centre's ints, numerator and denominator of r^2, primitive normal)
+    ints = _form(lambda self: (self.center.ints, self.radius2.numerator,
+                               self.radius2.denominator, primitive_vector(self.normal)))
 
 
 @dataclass(frozen=True)
@@ -445,27 +476,48 @@ def canonicalize(obj):
 # ---------------------------------------------------------------------------
 # incidence predicates
 
+def _offset(p: tuple, q: tuple) -> tuple[tuple[int, int, int], int]:
+    """((p - q) s, s) for the `ints` of p and q, s their denominators' product."""
+    (x, y, z), d = p
+    (qx, qy, qz), e = q
+    return (e * x - d * qx, e * y - d * qy, e * z - d * qz), d * e
+
+
 def point_on_surface(p: Point3, surface: Surface) -> bool:
     if isinstance(surface, Plane):
-        return (
-            surface.a * p.x + surface.b * p.y + surface.c * p.z + surface.d == 0
-        )
+        a, b, c, e = surface.ints
+        (x, y, z), d = p.ints
+        return a * x + b * y + c * z + e * d == 0
     if isinstance(surface, Sphere):
-        return dist2(p, surface.center) == surface.radius2
+        centre, num, den = surface.ints
+        w, s = _offset(p.ints, centre)
+        return den * norm2(w) == num * s * s
     if isinstance(surface, Implicit):
-        return surface.poly.evaluate(p) == 0
+        (x, y, z), d = p.ints
+        return integer_value(surface.poly.integer_terms(d), x, y, z) == 0
     raise UnsupportedObject(f"not a surface: {type(surface).__name__}")
 
 
 def point_on_curve(p: Point3, curve: Curve) -> bool:
     if isinstance(curve, Line):
-        return is_zero_vec(cross(vsub(p.as_tuple(), curve.origin.as_tuple()), curve.direction))
+        v, origin = curve.ints
+        w, _ = _offset(p.ints, origin)
+        return is_zero_vec(cross(w, v))
     if isinstance(curve, Circle):
-        offset = vsub(p.as_tuple(), curve.center.as_tuple())
-        return dot(offset, curve.normal) == 0 and norm2(offset) == curve.radius2
+        centre, num, den, n = curve.ints
+        w, s = _offset(p.ints, centre)
+        return dot(w, n) == 0 and den * norm2(w) == num * s * s
     if isinstance(curve, ImplicitPair):
-        return curve.f.evaluate(p) == 0 and curve.g.evaluate(p) == 0
+        (x, y, z), d = p.ints
+        return all(integer_value(f.integer_terms(d), x, y, z) == 0 for f in (curve.f, curve.g))
     raise UnsupportedObject(f"not a curve: {type(curve).__name__}")
+
+
+def on_axis(p: Point3, circle: Circle) -> bool:
+    """Whether p is on the circle's axis (through its centre, along its normal)."""
+    centre, _, _, n = circle.ints
+    w, _ = _offset(p.ints, centre)
+    return is_zero_vec(cross(w, n))
 
 
 # ---------------------------------------------------------------------------
@@ -490,56 +542,61 @@ def surface_pair_intersection(s1: Surface, s2: Surface) -> Union[Circle, Line, P
 
 
 def _plane_plane(p1: Plane, p2: Plane) -> Optional[Line]:
-    direction = cross(p1.normal(), p2.normal())
+    f1, f2 = p1.ints, p2.ints
+    n1, n2 = f1[:3], f2[:3]
+    direction = cross(n1, n2)
     if is_zero_vec(direction):
-        if canonicalize(p1) == canonicalize(p2):
+        if f1 == f2:  # the primitive forms are the canonical planes
             raise CoincidentObjects("surfaces coincide")
         return None
     # Fix the coordinate matching a nonzero direction component to zero and
     # solve the remaining 2x2 system (its determinant is that component).
     k = next(i for i in range(3) if direction[i] != 0)
-    idx = [i for i in range(3) if i != k]
-    n1, n2 = p1.normal(), p2.normal()
-    a11, a12 = n1[idx[0]], n1[idx[1]]
-    a21, a22 = n2[idx[0]], n2[idx[1]]
-    det = a11 * a22 - a12 * a21
-    r1, r2 = -p1.d, -p2.d
-    u = (r1 * a22 - r2 * a12) / det
-    v = (a11 * r2 - a21 * r1) / det
-    coords = [Fraction(0)] * 3
-    coords[idx[0]], coords[idx[1]] = u, v
+    i, j = [i for i in range(3) if i != k]
+    det = n1[i] * n2[j] - n1[j] * n2[i]
+    coords = [0] * 3
+    coords[i] = Fraction(f2[3] * n1[j] - f1[3] * n2[j], det)
+    coords[j] = Fraction(f1[3] * n2[i] - f2[3] * n1[i], det)
     return Line(Point3(*coords), direction)
 
 
 def _plane_sphere(pl: Plane, sp: Sphere) -> Union[Circle, Point3, None]:
-    n = pl.normal()
-    c = sp.center.as_tuple()
-    lam = (dot(n, c) + pl.d) / norm2(n)
-    foot = Point3(*vsub(c, vscale(lam, n)))
-    radius2 = sp.radius2 - lam * lam * norm2(n)
-    if radius2 > 0:
-        return Circle(foot, primitive_vector(n), radius2)
-    if radius2 == 0:
+    # the centre C / e has its foot C / e - L n / (e |n|^2) on n . x + k = 0,
+    # L = n . C + k e, and the circle there has radius^2 r^2 - L^2 / (e |n|)^2
+    *n, k = pl.ints
+    (c, e), num, den = sp.ints
+    nn, ell = norm2(n), dot(n, c) + k * e
+    top = num * e * e * nn - den * ell * ell
+    if top < 0:
+        return None
+    foot = Point3(*[Fraction(nn * x - ell * m, e * nn) for x, m in zip(c, n)])
+    if top == 0:
         return foot
-    return None
+    return Circle(foot, primitive_ints(n), Fraction(top, den * e * e * nn))
 
 
 def _sphere_sphere(s1: Sphere, s2: Sphere) -> Union[Circle, Point3, None]:
-    c1, c2 = s1.center.as_tuple(), s2.center.as_tuple()
-    axis = vsub(c2, c1)
+    # |c2 - c1|^2, r1^2, r2^2 are D, R1, R2 over K = s^2 m1 m2; the circle is
+    # c1 + T (c2 - c1) / (2 D), T = D + R1 - R2, of radius^2 (4 D R1 - T^2) / (4 D K)
+    (c1, e1), n1, m1 = s1.ints
+    centre2, n2, m2 = s2.ints
+    axis, s = _offset(centre2, (c1, e1))
     d2 = norm2(axis)
     if d2 == 0:
-        if s1.radius2 == s2.radius2:
+        if (n1, m1) == (n2, m2):
             raise CoincidentObjects("surfaces coincide")
         return None
-    t = (d2 + s1.radius2 - s2.radius2) / (2 * d2)
-    center = Point3(*vadd(c1, vscale(t, axis)))
-    radius2 = s1.radius2 - t * t * d2
-    if radius2 > 0:
-        return Circle(center, primitive_vector(axis), radius2)
-    if radius2 == 0:
+    ss = s * s
+    big_d, r1 = d2 * m1 * m2, ss * n1 * m2
+    t = big_d + r1 - ss * n2 * m1
+    top = 4 * big_d * r1 - t * t
+    if top < 0:
+        return None
+    q, u = 2 * big_d * s, 2 * big_d * (s // e1)
+    center = Point3(*[Fraction(u * c + t * a, q) for c, a in zip(c1, axis)])
+    if top == 0:
         return center
-    return None
+    return Circle(center, primitive_ints(axis), Fraction(top, 2 * q * s * m1 * m2))
 
 
 # ---------------------------------------------------------------------------
@@ -627,23 +684,22 @@ def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fra
 def surface_contains_curve(surface: Surface, curve: Curve) -> bool:
     """Exact test that a plane/sphere fully contains a line/circle."""
     if isinstance(surface, Plane):
+        normal = surface.ints[:3]
         if isinstance(curve, Line):
-            return (
-                dot(surface.normal(), curve.direction) == 0
-                and point_on_surface(curve.origin, surface)
-            )
+            return dot(normal, curve.ints[0]) == 0 and point_on_surface(curve.origin, surface)
         if isinstance(curve, Circle):
-            return (
-                point_on_surface(curve.center, surface)
-                and is_zero_vec(cross(curve.normal, surface.normal()))
-            )
+            return (point_on_surface(curve.center, surface)
+                    and is_zero_vec(cross(curve.ints[3], normal)))
         raise UnsupportedObject("containment undefined for implicit curves")
     if isinstance(surface, Sphere):
         if isinstance(curve, Line):
             return False
         if isinstance(curve, Circle):
-            offset = vsub(surface.center.as_tuple(), curve.center.as_tuple())
-            on_axis = is_zero_vec(cross(offset, curve.normal))
-            return on_axis and norm2(offset) + curve.radius2 == surface.radius2
+            # the sphere's centre on the circle's axis, r_s^2 - r_c^2 from its centre
+            centre, num, den = surface.ints
+            ccentre, cnum, cden, n = curve.ints
+            w, s = _offset(centre, ccentre)
+            return (is_zero_vec(cross(w, n))
+                    and den * cden * norm2(w) == (num * cden - cnum * den) * s * s)
         raise UnsupportedObject("containment undefined for implicit curves")
     raise UnsupportedObject("containment undefined for implicit surfaces")

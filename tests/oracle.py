@@ -1,7 +1,16 @@
 """Slow, obviously correct references for the incidence engine and the
 partitioner.
 
-These are the all-pairs `Fraction` loops that `engine.count_incidences` and
+The `Fraction` predicates and surface meets come first: `point_on_surface`,
+`point_on_curve`, `surface_contains_curve`, and `plane_plane`,
+`plane_sphere` and `sphere_sphere` behind `surface_pair_intersection`.
+They are the references of the `geom` functions, which decide on the
+objects' integer forms (`_plane_plane`, `_plane_sphere` and
+`_sphere_sphere` there), and every reference below that tests
+a point on an object or meets two surfaces (`_incident`, `decompose`,
+`pair_locus`, `line_circle`, `circle_circle`) calls them, not `geom`.
+
+The rest are the all-pairs `Fraction` loops that `engine.count_incidences` and
 `engine.decompose` used before the integer, shape-indexed core, the
 object-combination loop of `engine.contains_krs`, and the
 `Fraction` `common_sphere` and `coplanar_cospherical_max` from before the
@@ -11,7 +20,7 @@ compare the engine against them.  The `Fraction` Sturm root isolation, the
 are the references of `roots`, `partition.cell_census`,
 `partition.crossing_census` and `partition._best_threshold`.  The
 `Fraction` all-pairs repeated-distance count, the similar-triangle brute
-force and the apex circles found through `geom.surface_pair_intersection`
+force and the apex circles found through `surface_pair_intersection`
 are the references of `apps.repeated_distances`,
 `apps.similar_triangles_bruteforce`, `apps.triangle_circles` and the census
 count.  The parsers that send every string through `Fraction(s.strip())`
@@ -67,15 +76,136 @@ from inclab.geom import (
     is_zero_vec,
     norm2,
     point,
-    point_on_curve,
-    point_on_surface,
     primitive_vector,
-    surface_pair_intersection,
     vadd,
     vscale,
     vsub,
 )
 
+
+# ---------------------------------------------------------------------------
+# incidence predicates and surface meets in Fraction
+
+def _normal(pl: Plane):
+    return (pl.a, pl.b, pl.c)
+
+
+def point_on_surface(p: Point3, surface: Surface) -> bool:
+    if isinstance(surface, Plane):
+        return (
+            surface.a * p.x + surface.b * p.y + surface.c * p.z + surface.d == 0
+        )
+    if isinstance(surface, Sphere):
+        return dist2(p, surface.center) == surface.radius2
+    if isinstance(surface, Implicit):
+        return surface.poly.evaluate(p) == 0
+    raise UnsupportedObject(f"not a surface: {type(surface).__name__}")
+
+
+def point_on_curve(p: Point3, curve: Curve) -> bool:
+    if isinstance(curve, Line):
+        return is_zero_vec(cross(vsub(p.as_tuple(), curve.origin.as_tuple()), curve.direction))
+    if isinstance(curve, Circle):
+        offset = vsub(p.as_tuple(), curve.center.as_tuple())
+        return dot(offset, curve.normal) == 0 and norm2(offset) == curve.radius2
+    if isinstance(curve, ImplicitPair):
+        return curve.f.evaluate(p) == 0 and curve.g.evaluate(p) == 0
+    raise UnsupportedObject(f"not a curve: {type(curve).__name__}")
+
+
+def surface_contains_curve(surface: Surface, curve: Curve) -> bool:
+    if isinstance(surface, Plane):
+        if isinstance(curve, Line):
+            return (
+                dot(_normal(surface), curve.direction) == 0
+                and point_on_surface(curve.origin, surface)
+            )
+        if isinstance(curve, Circle):
+            return (
+                point_on_surface(curve.center, surface)
+                and is_zero_vec(cross(curve.normal, _normal(surface)))
+            )
+        raise UnsupportedObject("containment undefined for implicit curves")
+    if isinstance(surface, Sphere):
+        if isinstance(curve, Line):
+            return False
+        if isinstance(curve, Circle):
+            offset = vsub(surface.center.as_tuple(), curve.center.as_tuple())
+            on_axis = is_zero_vec(cross(offset, curve.normal))
+            return on_axis and norm2(offset) + curve.radius2 == surface.radius2
+        raise UnsupportedObject("containment undefined for implicit curves")
+    raise UnsupportedObject("containment undefined for implicit surfaces")
+
+
+def surface_pair_intersection(s1: Surface, s2: Surface):
+    """`geom.surface_pair_intersection` through the `Fraction` closed forms
+    below."""
+    if isinstance(s1, Implicit) or isinstance(s2, Implicit):
+        raise UnsupportedObject("implicit surface intersections are not supported")
+    if isinstance(s1, Plane) and isinstance(s2, Plane):
+        return plane_plane(s1, s2)
+    if isinstance(s1, Plane) and isinstance(s2, Sphere):
+        return plane_sphere(s1, s2)
+    if isinstance(s1, Sphere) and isinstance(s2, Plane):
+        return plane_sphere(s2, s1)
+    return sphere_sphere(s1, s2)
+
+
+def plane_plane(p1: Plane, p2: Plane) -> Optional[Line]:
+    direction = cross(_normal(p1), _normal(p2))
+    if is_zero_vec(direction):
+        if canonicalize(p1) == canonicalize(p2):
+            raise CoincidentObjects("surfaces coincide")
+        return None
+    # Fix the coordinate matching a nonzero direction component to zero and
+    # solve the remaining 2x2 system (its determinant is that component).
+    k = next(i for i in range(3) if direction[i] != 0)
+    idx = [i for i in range(3) if i != k]
+    n1, n2 = _normal(p1), _normal(p2)
+    a11, a12 = n1[idx[0]], n1[idx[1]]
+    a21, a22 = n2[idx[0]], n2[idx[1]]
+    det = a11 * a22 - a12 * a21
+    r1, r2 = -p1.d, -p2.d
+    u = (r1 * a22 - r2 * a12) / det
+    v = (a11 * r2 - a21 * r1) / det
+    coords = [Fraction(0)] * 3
+    coords[idx[0]], coords[idx[1]] = u, v
+    return Line(Point3(*coords), direction)
+
+
+def plane_sphere(pl: Plane, sp: Sphere):
+    n = _normal(pl)
+    c = sp.center.as_tuple()
+    lam = (dot(n, c) + pl.d) / norm2(n)
+    foot = Point3(*vsub(c, vscale(lam, n)))
+    radius2 = sp.radius2 - lam * lam * norm2(n)
+    if radius2 > 0:
+        return Circle(foot, primitive_vector(n), radius2)
+    if radius2 == 0:
+        return foot
+    return None
+
+
+def sphere_sphere(s1: Sphere, s2: Sphere):
+    c1, c2 = s1.center.as_tuple(), s2.center.as_tuple()
+    axis = vsub(c2, c1)
+    d2 = norm2(axis)
+    if d2 == 0:
+        if s1.radius2 == s2.radius2:
+            raise CoincidentObjects("surfaces coincide")
+        return None
+    t = (d2 + s1.radius2 - s2.radius2) / (2 * d2)
+    center = Point3(*vadd(c1, vscale(t, axis)))
+    radius2 = s1.radius2 - t * t * d2
+    if radius2 > 0:
+        return Circle(center, primitive_vector(axis), radius2)
+    if radius2 == 0:
+        return center
+    return None
+
+
+# ---------------------------------------------------------------------------
+# incidence, decomposition and common spheres by all pairs
 
 def _incident(p: Point3, obj) -> bool:
     if isinstance(obj, (Plane, Sphere, geom.Implicit)):
@@ -563,9 +693,7 @@ def pair_locus(p: Point3, q: Point3, shape: TriangleShape):
     d2 = dist2(p, q)
     if d2 == 0:
         raise ValidationError("coincident pair")
-    return geom.surface_pair_intersection(
-        Sphere(p, shape.rho1 * d2), Sphere(q, shape.rho2 * d2)
-    )
+    return surface_pair_intersection(Sphere(p, shape.rho1 * d2), Sphere(q, shape.rho2 * d2))
 
 
 def triangle_circles(
@@ -701,7 +829,12 @@ def _project_circle(minv, circle: Circle):
 def project_generic(points: Sequence[Point3], curves: Sequence[Curve], seed: int) -> PlanarInstance:
     """`engine.project_generic` through the seeded random rational matrix m
     and its inverse: points and lines map through m, and a circle's plane is
-    pulled back through m^-1 to write its image conic."""
+    pulled back through m^-1 to write its image conic.  Repeated points or
+    curves are refused before the first draw."""
+    if len(set(points)) != len(points):
+        raise ValidationError("points must be distinct")
+    if len({canonicalize(c) for c in curves}) != len(curves):
+        raise ValidationError("curves must be pairwise distinct")
     incident = incidence_edges(points, curves)
     for attempt in range(16):
         rng = random.Random(f"{seed}:{attempt}")

@@ -624,6 +624,11 @@ BAD_INPUTS = {
         {"p1.csv": io.points_to_csv([_O]), "p2.csv": io.points_to_csv([_A, _A])},
         ["generate", "distance-spheres", "--points", "{dir}/p1.csv", "--points2",
          "{dir}/p2.csv", "--out-prefix", "{dir}/d"], "points must be distinct"),
+    "decompose-duplicate-points": (
+        {"p.csv": io.points_to_csv([point(1, 0, 0), point(1, 0, 0), point(0, 1, 0)]),
+         "s.json": io.objects_to_json([Sphere(_O, 1), Plane(0, 0, 1, 0)])},
+        ["decompose", "--points", "{dir}/p.csv", "--surfaces", "{dir}/s.json"],
+        "points must be distinct"),
     "verify-degree-plan": (
         {}, ["verify", "--formula", "degree_plan", "--observed", "3"], "not a count bound"),
     "output-in-missing-directory": (

@@ -433,12 +433,14 @@ class TestProjection:
 
 def _project_both(points, curves, seed):
     """`engine.project_generic` and the matrix-inverse oracle on one input:
-    the same planar instance, or the same `GenericityFailure`."""
+    the same planar instance, or the same `ValidationError` or
+    `GenericityFailure` with the same message."""
     try:
         want = oracle.project_generic(points, curves, seed)
-    except GenericityFailure:
-        with pytest.raises(GenericityFailure):
+    except (ValidationError, GenericityFailure) as exc:
+        with pytest.raises(type(exc)) as got:
             engine.project_generic(points, curves, seed)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return None
     got = engine.project_generic(points, curves, seed)
     assert got.points2 == want.points2 and got.curves2 == want.curves2
@@ -449,8 +451,8 @@ def _project_both(points, curves, seed):
 def projection_inputs(draw):
     """Points with small rational coordinates, lines and circles each drawn
     through one of them (or, for a circle with a shifted radius, near it),
-    and a seed.  Repeated points and curves are allowed; no projection
-    keeps them apart."""
+    and a seed.  Repeated points and curves are drawn too; both projections
+    refuse them up front, since no projection keeps them apart."""
     small = st.fractions(-3, 3, max_denominator=3)
     points = draw(st.lists(st.tuples(small, small, small), min_size=1, max_size=5))
     nonzero = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
@@ -499,6 +501,23 @@ class TestProjectionDifferential:
         got = _project_both(pts, curves, seed)
         assert got is not None
         assert engine.planar_incident(got.points2[2], got.curves2[2])
+
+
+    @pytest.mark.parametrize("points, curves, message", [
+        ([point(0, 0, 0), point(0, 0, 0), point(1, 2, 3)],
+         [Line(point(0, 0, 0), (1, 0, 0))], "points must be distinct"),
+        ([point(1, 2, 3)], [Line(point(0, 0, 0), (1, 0, 0)), Line(point(5, 0, 0), (2, 0, 0))],
+         "curves must be pairwise distinct"),
+        ([point(1, 2, 3)], [CIRCLE, Circle(point(1, 0, 0), (0, 0, -3), 4)],
+         "curves must be pairwise distinct"),
+    ], ids=["repeated-point", "respelled-line", "respelled-circle"])
+    def test_repeats_refused_before_any_draw(self, monkeypatch, points, curves, message):
+        draws = []
+        monkeypatch.setattr(random, "Random", lambda seed: draws.append(seed))
+        for project in (engine.project_generic, oracle.project_generic):
+            with pytest.raises(ValidationError, match=message):
+                project(points, curves, 0)
+        assert draws == []
 
 
 class TestCommonSphere:

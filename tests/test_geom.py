@@ -485,3 +485,182 @@ class TestValidation:
     def test_validation_messages(self, make, message):
         with pytest.raises(ValidationError, match=message):
             make()
+
+
+# ---------------------------------------------------------------------------
+# the integer forms, and the predicates and meets decided on them
+
+MIXED = st.sampled_from([1, 1, 2, 3, 5, 6]).flatmap(
+    lambda den: st.integers(-3 * den, 3 * den).map(lambda num: F(num, den)))
+MIXED_VECTORS = st.tuples(MIXED, MIXED, MIXED)
+NONZERO_VECTORS = MIXED_VECTORS.filter(any)
+SCALES = st.sampled_from([1, -1, 2, F(1, 3), F(-5, 2)])
+
+
+def _sphere_poly(s):
+    unit = TriPoly({(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 2): F(1), (0, 0, 0): -s.radius2})
+    return unit.translate(s.center.as_tuple())
+
+
+def _poly(s):
+    return TriPoly.linear(s.a, s.b, s.c, s.d) if isinstance(s, Plane) else _sphere_poly(s)
+
+
+@st.composite
+def surface_meets(draw):
+    """Two planes or spheres over mixed denominators in a drawn layout, and
+    points where the predicates turn: a point x that most layouts put on
+    both surfaces, the centres, points on the line of centres and in the
+    planes, and points off everything.
+
+    Sphere pairs run through x (a circle, or a tangency when x is on the
+    line of centres), touch outside or inside, are nested, concentric,
+    coincident, or free with a non-square r^2.  A plane and a sphere run
+    through x, touch at x, miss, or cut a great circle.  Two planes cross
+    through x, are parallel, or are one plane spelled twice."""
+    x = draw(MIXED_VECTORS)
+    c1 = draw(MIXED_VECTORS)
+    v = draw(NONZERO_VECTORS)
+    n = draw(NONZERO_VECTORS)
+    alpha = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 5)]))
+    layout = draw(st.sampled_from([
+        "through", "outside", "inside", "nested", "concentric", "coincident", "free",
+        "plane-through", "plane-touch", "plane-miss", "plane-centre",
+        "planes-cross", "planes-parallel", "planes-same",
+    ]))
+    c2 = geom.vadd(c1, v)
+    vv = geom.norm2(v)
+    if layout in ("through", "plane-through", "plane-touch") and x != c1:
+        r1 = geom.norm2(geom.vsub(x, c1))
+    else:
+        r1 = draw(MIXED.filter(lambda r: r > 0))
+    through_x = geom.vadd(x, geom.cross(n, draw(MIXED_VECTORS)))  # in the plane through x
+    plane_at = lambda normal, at, lift=0: Plane(*normal, -geom.dot(normal, at) + lift)
+    if layout == "through":
+        pair = (Sphere(Point3(*c1), r1), Sphere(Point3(*c2), geom.norm2(geom.vsub(x, c2)) or 1))
+    elif layout == "outside":
+        pair = (Sphere(Point3(*c1), alpha**2 * vv), Sphere(Point3(*c2), (1 - alpha)**2 * vv))
+    elif layout == "inside":
+        pair = (Sphere(Point3(*c1), alpha**2 * vv), Sphere(Point3(*c2), (1 + alpha)**2 * vv))
+    elif layout == "nested":
+        pair = (Sphere(Point3(*c1), alpha**2 * vv / 4), Sphere(Point3(*c2), 9 * vv))
+    elif layout == "concentric":
+        # another r^2, one of them with r1's numerator over another denominator
+        other = draw(st.sampled_from([r1 + 1, r1 + F(1, 4), F(r1.numerator, r1.denominator + 1)]))
+        pair = (Sphere(Point3(*c1), r1), Sphere(Point3(*c1), other))
+    elif layout == "coincident":
+        pair = (Sphere(Point3(*c1), r1), Sphere(Point3(*c1), F(r1.numerator, r1.denominator)))
+    elif layout == "free":
+        pair = (Sphere(Point3(*c1), r1), Sphere(Point3(*c2), draw(MIXED.filter(lambda r: r > 0))))
+    elif layout == "plane-through":
+        pair = (plane_at(n, x), Sphere(Point3(*c1), r1))
+    elif layout == "plane-touch":
+        normal = geom.vsub(x, c1) if x != c1 else n
+        pair = (plane_at(geom.vscale(draw(SCALES), normal), x), Sphere(Point3(*c1), r1))
+    elif layout == "plane-miss":
+        pair = (plane_at(n, c1, geom.norm2(n) * (r1 + 1)), Sphere(Point3(*c1), r1))
+    elif layout == "plane-centre":
+        pair = (plane_at(n, c1), Sphere(Point3(*c1), r1))
+    elif layout == "planes-cross":
+        pair = (plane_at(n, x), plane_at(draw(NONZERO_VECTORS), x))
+    else:
+        k = draw(SCALES)
+        lift = draw(st.sampled_from([1, F(-1, 2)])) if layout == "planes-parallel" else 0
+        pair = (plane_at(n, x), plane_at(geom.vscale(k, n), x, lift))
+    if draw(st.booleans()):
+        pair = pair[::-1]
+    on_axis = [geom.vadd(c1, geom.vscale(t, v)) for t in (0, F(1, 2), 1, 2, -alpha)]
+    others = draw(st.lists(MIXED_VECTORS, max_size=3))
+    return (*pair, [Point3(*p) for p in [x, through_x, *on_axis, *others]])
+
+
+def _same_meet(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Line):
+        assert canonicalize(got) == canonicalize(want)  # the direction's length is free
+    else:
+        assert got == want
+
+
+class TestIntegerForms:
+    @pytest.mark.parametrize("make", [
+        lambda: point(F(1, 2), 3, F(-4, 6)),
+        lambda: Plane(F(1, 2), F(-1, 3), 0, 7),
+        lambda: Sphere(point(F(1, 2), 0, F(1, 3)), F(9, 4)),
+        lambda: Line(point(1, F(2, 5), 0), (F(2, 3), F(-4, 3), 0)),
+        lambda: Circle(point(0, F(1, 6), 1), (0, 0, -2), F(5, 3)),
+    ], ids=["point", "plane", "sphere", "line", "circle"])
+    def test_form_changes_no_identity(self, make):
+        obj, twin = make(), make()
+        assert "ints" not in obj.__dict__  # nothing is built at construction
+        key, text = hash(obj), repr(obj)
+        form = obj.ints
+        assert obj.__dict__["ints"] is form is obj.ints
+        assert obj == twin and twin == obj
+        assert hash(obj) == hash(twin) == key
+        assert repr(obj) == repr(twin) == text
+        assert {obj, twin} == {twin}
+
+    def test_form_values(self):
+        p = point(F(1, 2), 3, F(-4, 6))
+        assert p.ints == ((3, 18, -4), 6)
+        assert Plane(F(1, 2), F(-1, 3), 0, 7).ints == (3, -2, 0, 42)
+        sphere = Sphere(p, F(9, 4))
+        assert sphere.ints == (p.ints, 9, 4) and sphere.ints[0] is p.ints
+        assert Line(p, (F(-2, 3), F(4, 3), 0)).ints == ((1, -2, 0), p.ints)
+        assert Circle(p, (0, 0, -2), F(5, 3)).ints == (p.ints, 5, 3, (0, 0, 1))
+        assert all(type(c) is int for c in p.ints[0])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(surface_meets())
+    # tangent spheres, outside and inside, over mixed denominators
+    @example((Sphere(point(0, 0, 0), F(1, 4)), Sphere(point(F(3, 2), 0, 0), F(1)),
+              [point(F(1, 2), 0, 0), point(0, 0, 0)]))
+    @example((Sphere(point(F(1, 3), 0, 0), F(1, 9)), Sphere(point(F(2, 3), 0, 0), F(4, 9)),
+              [point(0, 0, 0), point(1, 0, 0)]))
+    # a circle with non-square r^2, a point on it and one on its axis
+    @example((Sphere(point(0, 0, 0), F(2)), Sphere(point(0, 0, 2), F(2)),
+              [point(1, 1, 1), point(0, 0, 1), point(1, 1, 0)]))
+    # concentric, and coincident over a respelled centre
+    @example((Sphere(point(1, 2, 3), F(4)), Sphere(point(1, 2, 3), F(5)), [point(1, 2, 5)]))
+    @example((Sphere(point(1, 2, 3), F(1, 2)), Sphere(point(1, 2, 3), F(1, 3)), []))
+    @example((Sphere(point(F(2, 4), 0, 0), F(4)), Sphere(point(F(1, 2), 0, 0), F(8, 2)), []))
+    # a plane touching a sphere, two spellings of one plane, and parallel
+    # planes whose primitive normals are equal
+    @example((Plane(0, 0, F(1, 2), -1), Sphere(point(0, 0, 0), F(4)), [point(0, 0, 2)]))
+    @example((Plane(1, 2, 3, 4), Plane(F(-1, 2), -1, F(-3, 2), -2), [point(-4, 0, 0)]))
+    @example((Plane(F(1, 2), 1, F(3, 2), 2), Plane(-1, -2, -3, -5), [point(-4, 0, 0)]))
+    def test_matches_fraction_oracle(self, case):
+        s1, s2, pts = case
+        try:
+            want = oracle.surface_pair_intersection(s1, s2)
+        except CoincidentObjects:
+            with pytest.raises(CoincidentObjects):
+                geom.surface_pair_intersection(s1, s2)
+            surfaces, curves = (s1, s2, Implicit(_poly(s1))), []
+        else:
+            got = geom.surface_pair_intersection(s1, s2)
+            _same_meet(got, want)
+            _same_meet(geom.surface_pair_intersection(s2, s1), oracle.surface_pair_intersection(s2, s1))
+            surfaces = (s1, s2, Implicit(_poly(s1)), Implicit(_poly(s2)))
+            curves = [ImplicitPair(_poly(s1), _poly(s2))]
+            if isinstance(want, Point3):
+                pts = [*pts, want]
+            elif isinstance(want, Line):
+                skew = geom.cross(want.direction, (1, 2, 5))
+                curves += [want, got, Line(want.origin, skew if any(skew) else (1, 0, 0))]
+            elif want is not None:
+                pts = [*pts, want.center]
+                curves += [want, Line(want.center, want.normal), Circle(want.center, want.normal, want.radius2 + 1),
+                           Circle(want.center, geom.vadd(want.normal, (1, 0, 0)), want.radius2)]
+        for p in pts:
+            for s in surfaces:
+                assert geom.point_on_surface(p, s) == oracle.point_on_surface(p, s)
+            for c in curves:
+                assert geom.point_on_curve(p, c) == oracle.point_on_curve(p, c)
+        for s in (s1, s2):
+            for c in curves:
+                if not isinstance(c, ImplicitPair):
+                    assert geom.surface_contains_curve(s, c) == oracle.surface_contains_curve(s, c)
+                    if c is want:
+                        assert geom.surface_contains_curve(s, c)
