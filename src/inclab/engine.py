@@ -338,12 +338,9 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
     first two of its surfaces; the residual is the pass's edges minus the
     (point, surface) pairs that the components cover.
     """
-    canon = []
-    for s in surfaces:
-        if not isinstance(s, (Plane, Sphere)):
-            raise UnsupportedObject("decompose supports planes and spheres only")
-        canon.append(canonicalize(s))
-    if len(set(canon)) != len(canon):
+    if not all(isinstance(s, (Plane, Sphere)) for s in surfaces):
+        raise UnsupportedObject("decompose supports planes and spheres only")
+    if len({s.ints for s in surfaces}) != len(surfaces):  # the forms are canonical
         raise ValidationError("surfaces must be pairwise distinct")
     if len(set(points)) != len(points):
         raise ValidationError("points must be distinct")
@@ -352,7 +349,7 @@ def decompose(points: Sequence[Point3], surfaces: Sequence[Surface]) -> Bipartit
     for i, j in itertools.combinations(range(len(surfaces)), 2):
         result = surface_pair_intersection(surfaces[i], surfaces[j])
         if isinstance(result, (Circle, Line)):
-            curve_surfaces.setdefault(canonicalize(result), set()).update((i, j))
+            curve_surfaces.setdefault(result, set()).update((i, j))  # a canonical curve
 
     edges = _incidence_edges(points, surfaces)
     points_on: list[set[int]] = [set() for _ in surfaces]
@@ -525,7 +522,7 @@ def _circle_frame(circles: Sequence[Circle]) -> tuple[list[tuple], int, int]:
     centres, den = geom.integer_coords(c.center for c in circles)
     widths, scale = geom.clear_denominators(den * den * c.radius2 for c in circles)
     frame = [
-        (primitive_vector(c.normal), centre, w) for c, centre, w in zip(circles, centres, widths)
+        (c.ints[3], centre, w) for c, centre, w in zip(circles, centres, widths)
     ]
     return frame, den, scale
 

@@ -11,8 +11,8 @@ from these (`io` clears its int pairs itself, so `inclab count` builds no
 one integer form, `ints`: coordinates over their own denominator, r^2 as
 an int pair, primitive coefficients, directions and normals.  It is built
 on first read into the instance `__dict__` (`_form`), so construction,
-`==`, `hash` and `repr` are untouched.  The predicates and the plane and
-sphere meets decide in ints on these forms, cross-multiplying
+`==`, `hash` and `repr` are untouched.  The predicates and every surface
+and curve meet decide in ints on these forms, cross-multiplying
 denominators, and build `Fraction`s only for the objects they return;
 their `Fraction` forms are the references in `tests/oracle.py`.
 """
@@ -455,13 +455,13 @@ def canonicalize(obj):
     if isinstance(obj, Implicit):
         return Implicit(obj.poly.primitive())
     if isinstance(obj, Line):
-        d = primitive_vector(obj.direction)
+        d = obj.ints[0]
         o = obj.origin.as_tuple()
         t = dot(o, d) / dot(d, d)
         base = vsub(o, vscale(t, d))
         return Line(Point3(*base), d)
     if isinstance(obj, Circle):
-        return Circle(obj.center, primitive_vector(obj.normal), obj.radius2)
+        return Circle(obj.center, obj.ints[3], obj.radius2)
     if isinstance(obj, ImplicitPair):
         f = obj.f.primitive()
         g = obj.g.primitive()
@@ -543,21 +543,25 @@ def surface_pair_intersection(s1: Surface, s2: Surface) -> Union[Circle, Line, P
 
 def _plane_plane(p1: Plane, p2: Plane) -> Optional[Line]:
     f1, f2 = p1.ints, p2.ints
-    n1, n2 = f1[:3], f2[:3]
-    direction = cross(n1, n2)
-    if is_zero_vec(direction):
+    line = _plane_meet(f1, f2)
+    if line is None:
         if f1 == f2:  # the primitive forms are the canonical planes
             raise CoincidentObjects("surfaces coincide")
         return None
-    # Fix the coordinate matching a nonzero direction component to zero and
-    # solve the remaining 2x2 system (its determinant is that component).
-    k = next(i for i in range(3) if direction[i] != 0)
-    i, j = [i for i in range(3) if i != k]
-    det = n1[i] * n2[j] - n1[j] * n2[i]
-    coords = [0] * 3
-    coords[i] = Fraction(f2[3] * n1[j] - f1[3] * n2[j], det)
-    coords[j] = Fraction(f1[3] * n2[i] - f2[3] * n1[i], det)
-    return Line(Point3(*coords), direction)
+    v, (foot, q) = line  # the canonical line: its origin is orthogonal to v
+    return Line(Point3(*[Fraction(x, q) for x in foot]), v)
+
+
+def _plane_meet(f1: tuple, f2: tuple) -> Optional[tuple]:
+    """The int line where two int plane forms (n, d) meet, as a `Line.ints`,
+    or None if they are parallel: the primitive u = n1 x n2, and the form
+    (F, |u|^2) of its point nearest 0, F = -d1 (n2 x u) - d2 (u x n1)."""
+    n1, n2 = f1[:3], f2[:3]
+    u = cross(n1, n2)
+    if is_zero_vec(u):
+        return None
+    foot = [-f1[3] * a - f2[3] * b for a, b in zip(cross(n2, u), cross(u, n1))]
+    return primitive_ints(u), (foot, norm2(u))
 
 
 def _plane_sphere(pl: Plane, sp: Sphere) -> Union[Circle, Point3, None]:
@@ -606,14 +610,14 @@ def curve_pair_intersection(c1: Curve, c2: Curve) -> list[Point3]:
     """Exact rational common points of two lines/circles.
 
     Raises UnsupportedObject for implicit curves and CoincidentObjects when
-    the curves are equal.  Intersection points with irrational coordinates
-    cannot exist in this artifact's rational point universe and are omitted.
+    the curves are equal (parallel lines through one point, circles with one
+    integer form).  Intersection points with irrational coordinates cannot
+    exist in this artifact's rational point universe and are omitted.  Points
+    of a line come in increasing t along its own direction, and points of
+    two circles in increasing (x, y, z) order.
     """
     if isinstance(c1, ImplicitPair) or isinstance(c2, ImplicitPair):
         raise UnsupportedObject("implicit curve intersections are not supported")
-    k1, k2 = canonicalize(c1), canonicalize(c2)
-    if k1 == k2:
-        raise CoincidentObjects("curves coincide")
     if isinstance(c1, Line) and isinstance(c2, Line):
         return _line_line(c1, c2)
     if isinstance(c1, Line) and isinstance(c2, Circle):
@@ -624,58 +628,70 @@ def curve_pair_intersection(c1: Curve, c2: Curve) -> list[Point3]:
 
 
 def _line_line(l1: Line, l2: Line) -> list[Point3]:
-    d1, d2 = l1.direction, l2.direction
-    o1, o2 = l1.origin.as_tuple(), l2.origin.as_tuple()
-    n = cross(d1, d2)
+    # with w = (o2 - o1) s, the point is o1 + (w x v2) . n v1 / (s |n|^2)
+    (v1, (x1, d1)), (v2, origin2) = l1.ints, l2.ints
+    w, s = _offset(origin2, (x1, d1))
+    n = cross(v1, v2)
     if is_zero_vec(n):
+        if is_zero_vec(cross(w, v1)):
+            raise CoincidentObjects("curves coincide")
         return []  # parallel and distinct
-    delta = vsub(o2, o1)
-    if dot(delta, n) != 0:
+    if dot(w, n) != 0:
         return []  # skew
-    s = dot(cross(delta, d2), n) / norm2(n)
-    p = Point3(*vadd(o1, vscale(s, d1)))
-    return [p]
+    nn, k, e = norm2(n), dot(cross(w, v2), n), origin2[1]
+    return [Point3(*[Fraction(x * e * nn + k * a, s * nn) for x, a in zip(x1, v1)])]
 
 
 def _line_circle(line: Line, circle: Circle) -> list[Point3]:
-    # The circle is its plane cut with its centre sphere: the line meets the
-    # sphere at o + t d for the roots t of |w + t d|^2 = r^2, w = o - c, and
-    # the points kept are those on the plane.  The roots' sum is rational,
-    # so a rational crossing of the plane on the circle is never dropped.
-    o, d, n = line.origin.as_tuple(), line.direction, circle.normal
-    w = vsub(o, circle.center.as_tuple())
-    nw, nd = dot(n, w), dot(n, d)
-    roots = _rational_quadratic_roots(norm2(d), 2 * dot(w, d), norm2(w) - circle.radius2)
-    return [Point3(*vadd(o, vscale(t, d))) for t in roots if nw + t * nd == 0]
+    points = _line_on_circle(*line.ints, circle.ints)
+    if next(filter(None, line.direction)) < 0:
+        points.reverse()  # v points against the line's own direction
+    return points
+
+
+def _line_on_circle(v: tuple, origin: tuple, circle: tuple) -> list[Point3]:
+    """The rational points of the line origin + t v on the circle, for their
+    `ints`, in increasing t.  With w = (o - c) s, the line meets the
+    circle's centre sphere at u = s t for the roots u of a u^2 + 2 b u + c
+    = 0; those on its plane are kept.  The roots' sum is rational, so a
+    rational crossing of the plane on the circle is never dropped."""
+    centre, num, den, n = circle
+    w, s = _offset(origin, centre)
+    a, b = den * norm2(v), den * dot(w, v)
+    disc = b * b - a * (den * norm2(w) - num * s * s)
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return []
+    nw, nv, e = dot(n, w), dot(n, v), centre[1]
+    return [Point3(*[Fraction(x * e * a + m * vx, a * s) for x, vx in zip(origin[0], v)])
+            for m in ((-b - root, -b + root) if root else (-b,)) if a * nw + m * nv == 0]
 
 
 def _circle_circle(c1: Circle, c2: Circle) -> list[Point3]:
     # Every common point lies on c1's plane and on a second plane: c2's, or,
-    # when c2 lies in c1's plane, the radical plane |x - a1|^2 - r1^2 =
-    # |x - a2|^2 - r2^2 of the circles' centre spheres.  The two planes meet
-    # in a line; its points on c1 that are also on c2 are the answer.
-    p1, p2 = c1.plane(), c2.plane()
-    if surface_contains_curve(p1, c2):
-        a1, a2 = c1.center.as_tuple(), c2.center.as_tuple()
-        normal = vsub(a2, a1)
-        if is_zero_vec(normal):
-            return []  # concentric coplanar, distinct radii
-        rhs = (norm2(a2) - norm2(a1) + c1.radius2 - c2.radius2) / 2
-        p2 = Plane(normal[0], normal[1], normal[2], -rhs)
-    line = _plane_plane(p1, p2)
+    # when c2 lies in c1's plane, the radical plane 2 (a2 - a1) . x =
+    # |a2|^2 - |a1|^2 + r1^2 - r2^2 of the circles' centre spheres.  The two
+    # planes meet in a line; its points on c1 that are also on c2 are the
+    # answer, in increasing t along its primitive direction: in (x, y, z) order.
+    (a1, e1), num1, den1, n1 = c1.ints
+    (a2, e2), num2, den2, n2 = c2.ints
+    plane1 = (*[e1 * c for c in n1], -dot(n1, a1))
+    line = _plane_meet(plane1, (*[e2 * c for c in n2], -dot(n2, a2)))
     if line is None:
-        return []  # parallel planes
-    return [p for p in _line_circle(line, c1) if point_on_curve(p, c2)]
-
-
-def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction) -> list[Fraction]:
-    """The rational roots of a t^2 + b t + c, for a > 0, in increasing order."""
-    root = rational_sqrt(b * b - 4 * a * c)
-    if root is None:
-        return []
-    if root == 0:
-        return [-b / (2 * a)]
-    return sorted([(-b - root) / (2 * a), (-b + root) / (2 * a)])
+        w, s = _offset((a2, e2), (a1, e1))
+        if dot(n1, w) != 0:
+            return []  # parallel planes
+        if is_zero_vec(w):
+            if (num1, den1) == (num2, den2):
+                raise CoincidentObjects("curves coincide")
+            return []  # concentric coplanar, distinct radii
+        m = den1 * den2  # the radical plane times s^2 m
+        rhs = (m * dot(w, [e1 * p + e2 * q for p, q in zip(a2, a1)])
+               + s * s * (num1 * den2 - num2 * den1))
+        line = _plane_meet(plane1, (*[2 * s * m * c for c in w], -rhs))
+    return [p for p in _line_on_circle(*line, c1.ints) if point_on_curve(p, c2)]
 
 
 # ---------------------------------------------------------------------------

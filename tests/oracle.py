@@ -32,9 +32,11 @@ loop is the reference of `construct.gen_distance_spheres`.  The
 two-branch circle-circle intersection, one branch for circles in distinct
 planes and one for circles in a shared plane, and the three-branch
 line-circle intersection, for a line crossing the circle's plane, parallel
-to it or in it, are the references of `geom.curve_pair_intersection` on
-circle pairs and line-circle pairs.  The projection through a full rational
-matrix inverse is the reference of `engine.project_generic`.
+to it or in it, and the line-line meet at o1 + s d1 are the references of
+`geom.curve_pair_intersection` on circle, line-circle and line pairs; the
+oracle's `curve_pair_intersection` tests coincidence in `Fraction`s and
+dispatches to them.  The projection through a full rational matrix inverse
+is the reference of `engine.project_generic`.
 """
 
 from __future__ import annotations
@@ -296,7 +298,7 @@ def common_sphere(c1: Circle, c2: Circle) -> Optional[Sphere]:
         lam = (c1.radius2 - c2.radius2 - beta * beta * norm2(n1)) / (2 * beta * norm2(n1))
         center = Point3(*vadd(a1, vscale(lam, n1)))
         return Sphere(center, c1.radius2 + lam * lam * norm2(n1))
-    candidates = geom._line_line(Line(c1.center, n1), Line(c2.center, n2))
+    candidates = line_line(Line(c1.center, n1), Line(c2.center, n2))
     for o in candidates:
         r2 = c1.radius2 + geom.dist2(o, c1.center)
         if c2.radius2 + geom.dist2(o, c2.center) == r2:
@@ -715,7 +717,50 @@ def triangle_circles(
 
 
 # ---------------------------------------------------------------------------
-# line-circle intersection in three branches, circle-circle in two
+# curve meets: line-line, line-circle in three branches, circle-circle in two
+
+def curve_pair_intersection(c1: Curve, c2: Curve) -> list[Point3]:
+    """`geom.curve_pair_intersection` through the `Fraction` meets below,
+    after a `Fraction` coincidence test."""
+    if isinstance(c1, ImplicitPair) or isinstance(c2, ImplicitPair):
+        raise UnsupportedObject("implicit curve intersections are not supported")
+    if _same_curve(c1, c2):
+        raise CoincidentObjects("curves coincide")
+    if isinstance(c1, Line) and isinstance(c2, Line):
+        return line_line(c1, c2)
+    if isinstance(c1, Line):
+        return line_circle(c1, c2)
+    if isinstance(c2, Line):
+        return line_circle(c2, c1)
+    return circle_circle(c1, c2)
+
+
+def _same_curve(c1: Curve, c2: Curve) -> bool:
+    """Equal lines are parallel and share a point; equal circles share their
+    centre, r^2 and axis."""
+    if isinstance(c1, Line) and isinstance(c2, Line):
+        gap = vsub(c2.origin.as_tuple(), c1.origin.as_tuple())
+        return is_zero_vec(cross(c1.direction, c2.direction)) and is_zero_vec(cross(gap, c1.direction))
+    if isinstance(c1, Circle) and isinstance(c2, Circle):
+        return (c1.center == c2.center and c1.radius2 == c2.radius2
+                and is_zero_vec(cross(c1.normal, c2.normal)))
+    return False
+
+
+def line_line(l1: Line, l2: Line) -> list[Point3]:
+    """The common point of two distinct lines: none when they are parallel
+    or skew, else o1 + s d1 for the s that puts it on the second line."""
+    d1, d2 = l1.direction, l2.direction
+    o1, o2 = l1.origin.as_tuple(), l2.origin.as_tuple()
+    n = cross(d1, d2)
+    if is_zero_vec(n):
+        return []  # parallel and distinct
+    delta = vsub(o2, o1)
+    if dot(delta, n) != 0:
+        return []  # skew
+    s = dot(cross(delta, d2), n) / norm2(n)
+    return [Point3(*vadd(o1, vscale(s, d1)))]
+
 
 def line_circle(line: Line, circle: Circle) -> list[Point3]:
     """The rational common points of a line and a circle.  A line crossing

@@ -329,6 +329,25 @@ class TestDecompose:
         _, graph = engine.count_incidences(pts, surfaces)
         assert covered == set(graph.edges)
 
+    def test_keys_curves_as_returned(self, monkeypatch):
+        # the pair meets return canonical curves and the surfaces' integer
+        # forms are canonical, so decompose canonicalizes nothing
+        surfaces = [Plane(1, 2, 0, -3), Plane(F(1, 2), 0, 1, 0), Plane(0, 0, -2, 0),
+                    Sphere(point(0, 0, 0), F(5)), Sphere(point(1, 0, 0), F(5)),
+                    Sphere(point(F(1, 2), 0, 1), F(21, 4))]
+        pts = [point(1, 1, 0), point(3, 0, 0), point(0, 0, 0), point(F(1, 2), 2, 0), point(-1, 2, 0)]
+        want = oracle.decompose(pts, surfaces)
+
+        def refuse(obj):
+            raise AssertionError("decompose called canonicalize")
+
+        monkeypatch.setattr(engine, "canonicalize", refuse)
+        got = engine.decompose(pts, surfaces)
+        assert (got.components, got.residual_edges) == (want.components, want.residual_edges)
+        assert any(isinstance(gamma, Line) for gamma, _, _ in got.components)
+        with pytest.raises(ValidationError, match="pairwise distinct"):
+            engine.decompose(pts, [Plane(1, 2, 0, -3), Plane(F(-1, 3), F(-2, 3), 0, 1)])
+
     def test_duplicate_surfaces_rejected(self):
         with pytest.raises(ValidationError):
             engine.decompose([], [Sphere(point(0, 0, 0), F(1)),

@@ -179,7 +179,7 @@ class TestSurfaceIntersections:
             Plane(F(1), F(0), F(0), F(0)), Plane(F(0), F(1), F(0), F(0))
         )
         assert isinstance(r, Line)
-        assert canonicalize(r) == canonicalize(Line(point(0, 0, 0), (F(0), F(0), F(1))))
+        assert r == canonicalize(r) == canonicalize(Line(point(0, 0, 0), (F(0), F(0), F(1))))
 
     def test_coincident(self):
         with pytest.raises(CoincidentObjects):
@@ -336,6 +336,7 @@ class TestCircleCircleDifferential:
     def test_matches_two_branch_oracle(self, case):
         c1, c2, common = case
         got = _meet(c1, c2)
+        assert geom.curve_pair_intersection(c1, c2) == got  # in (x, y, z) order
         assert got == _meet(c2, c1)
         assert got == sorted(oracle.circle_circle(c1, c2), key=Point3.as_tuple)
         assert set(common) <= set(got)
@@ -383,6 +384,9 @@ class TestLineCircleDifferential:
     @example((Line(point(-7, 5, 0), (F(1), F(0), F(0))), CIRCLE_25, [point(0, 5, 0)]))
     @example((Line(point(0, 4, 0), (F(2), F(0), F(0))), CIRCLE_25,
               [point(-3, 4, 0), point(3, 4, 0)]))
+    # a secant whose direction points against its primitive direction
+    @example((Line(point(0, 4, 0), (F(-2), F(0), F(0))), CIRCLE_25,
+              [point(3, 4, 0), point(-3, 4, 0)]))
     @example((Line(point(0, 0, 0), (F(1), F(1), F(0))), Circle(point(0, 0, 0), Z_AXIS, F(1)), []))
     def test_matches_three_branch_oracle(self, case):
         line, circle, common = case
@@ -402,10 +406,18 @@ def test_pair_functions_raise_alike():
         (geom.curve_pair_intersection,
          Line(point(0, 0, 0), (1, 1, 0)), Line(point(2, 2, 0), (-2, -2, 0))),
         (geom.curve_pair_intersection, CIRCLE_25, Circle(point(0, 0, 0), (0, 0, 2), 25)),
+        # respelled: the origin moved along v and v times -3, the normal
+        # times -3 and r^2 unreduced
+        (geom.curve_pair_intersection,
+         Line(point(F(1, 2), 0, 1), (F(2, 3), 1, 0)), Line(point(F(3, 2), F(3, 2), 1), (-2, -3, 0))),
+        (geom.curve_pair_intersection, CIRCLE_25, Circle(point(0, 0, 0), (0, 0, -3), "75/3")),
+        (geom.curve_pair_intersection, Circle(point(F(1, 2), F(-2, 3), 1), (1, 2, -2), F(9, 4)),
+         Circle(Point3(F(2, 4), F(-4, 6), F(3, 3)), (-3, -6, 6), "18/8")),
     ]
     for pair, a, b in equal:
-        with pytest.raises(CoincidentObjects):
-            pair(a, b)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(CoincidentObjects):
+                pair(x, y)
     implicit = [
         (geom.surface_pair_intersection, Implicit(sphere), Plane(0, 0, 1, 0)),
         (geom.surface_pair_intersection, Sphere(point(0, 0, 0), 1), Implicit(sphere)),
@@ -647,6 +659,7 @@ class TestIntegerForms:
             if isinstance(want, Point3):
                 pts = [*pts, want]
             elif isinstance(want, Line):
+                assert canonicalize(got) == got
                 skew = geom.cross(want.direction, (1, 2, 5))
                 curves += [want, got, Line(want.origin, skew if any(skew) else (1, 0, 0))]
             elif want is not None:
@@ -664,3 +677,82 @@ class TestIntegerForms:
                     assert geom.surface_contains_curve(s, c) == oracle.surface_contains_curve(s, c)
                     if c is want:
                         assert geom.surface_contains_curve(s, c)
+
+
+@st.composite
+def line_pairs(draw):
+    """Two lines over mixed denominators and their common points, or None
+    when they are one line: lines crossing at x, skew (the second lifted off
+    x along v1 x v2), parallel (the second moved off the first), or one line
+    respelled, its origin moved along v and its direction scaled."""
+    x, v1, v2 = draw(MIXED_VECTORS), draw(NONZERO_VECTORS), draw(NONZERO_VECTORS)
+    n = geom.cross(v1, v2)
+    assume(any(n))
+    layout = draw(st.sampled_from(["crossing", "skew", "parallel", "same"]))
+    o1 = geom.vadd(x, geom.vscale(draw(MIXED), v1))
+    o2 = geom.vadd(x, geom.vscale(draw(MIXED), v2))
+    l1 = Line(Point3(*o1), v1)
+    if layout == "crossing":
+        return l1, Line(Point3(*o2), v2), [Point3(*x)]
+    if layout == "skew":
+        lift = geom.vscale(draw(MIXED.filter(bool)), n)
+        return l1, Line(Point3(*geom.vadd(o2, lift)), v2), []
+    along = geom.vscale(draw(SCALES), v1)
+    if layout == "parallel":
+        return l1, Line(Point3(*geom.vadd(o1, geom.vscale(draw(MIXED.filter(bool)), v2))), along), []
+    return l1, Line(Point3(*geom.vadd(o1, geom.vscale(draw(MIXED), v1))), along), None
+
+
+class TestLineLineDifferential:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(line_pairs())
+    # crossing at a point over mixed denominators, skew, parallel, and one
+    # line respelled with its origin moved along v and its direction times -3
+    @example((Line(point(F(-1, 2), F(-2, 5), F(1, 3)), (1, F(2, 5), 0)),
+              Line(point(F(3, 2), 0, F(4, 3)), (F(-1, 6), 0, F(-1, 6))),
+              [point(F(1, 2), 0, F(1, 3))]))
+    @example((Line(point(0, 0, 0), (1, 0, 0)), Line(point(0, 1, F(1, 2)), (0, 1, 0)), []))
+    @example((Line(point(F(1, 3), 0, 0), (1, 2, 0)), Line(point(F(1, 3), 0, F(1, 7)), (-2, -4, 0)), []))
+    @example((Line(point(F(1, 2), F(1, 3), 0), (F(2, 3), 1, -1)),
+              Line(point(F(7, 6), F(4, 3), -1), (-2, -3, 3)), None))
+    def test_matches_fraction_oracle(self, case):
+        l1, l2, common = case
+        for a, b in ((l1, l2), (l2, l1)):
+            if common is None:
+                for meet in (geom.curve_pair_intersection, oracle.curve_pair_intersection):
+                    with pytest.raises(CoincidentObjects):
+                        meet(a, b)
+            else:
+                assert geom.curve_pair_intersection(a, b) == oracle.curve_pair_intersection(a, b) == common
+
+
+def test_curve_meets_build_no_plane_and_no_canonical_form(monkeypatch):
+    # every curve meet decides on the integer forms: parallel, skew and
+    # crossing lines, a line on, off and across a circle, and circles in
+    # crossing, parallel and shared planes, concentric or one circle twice
+    lines = [Line(point(0, 4, 0), (1, 0, 0)), Line(point(0, 0, 1), (1, 0, 0)),
+             Line(point(3, 4, -2), Z_AXIS), Line(point(0, 1, 5), (0, -2, 0))]
+    circles = [CIRCLE_25, Circle(point(0, 0, 0), (-2, 0, 0), 25), Circle(point(0, 0, 3), Z_AXIS, 16),
+               Circle(point(0, 0, 1), Z_AXIS, 25), Circle(point(6, 0, 0), Z_AXIS, 25),
+               Circle(point(0, 0, 0), Z_AXIS, 16), Circle(point(0, 0, 0), (0, 0, 3), 25)]
+    curves = lines + circles
+    want = [_outcome(oracle.curve_pair_intersection, a, b) for a in curves for b in curves]
+
+    class Refused:
+        def __new__(cls, *args):
+            raise AssertionError("a curve meet built a Plane")
+
+    def refuse(obj):
+        raise AssertionError("a curve meet called canonicalize")
+
+    monkeypatch.setattr(geom, "Plane", Refused)
+    monkeypatch.setattr(geom, "canonicalize", refuse)
+    assert [_outcome(geom.curve_pair_intersection, a, b) for a in curves for b in curves] == want
+    assert "CoincidentObjects" in want
+
+
+def _outcome(meet, a, b):
+    try:
+        return sorted(meet(a, b), key=Point3.as_tuple)
+    except CoincidentObjects as exc:
+        return type(exc).__name__
