@@ -13,14 +13,13 @@ t = (1 + rho1 - rho2) / 2, a constant of the shape, it is the circle with
 
 rho1 - t^2 is a quarter of the Cayley-Menger value that `TriangleShape`
 checks to be > 0, so every pair of distinct points gives a circle.  The
-census clears P of denominators once, keys each circle by integers and
-gives it the integer frame row (n, C, W) of `engine._circle_frame`, with
-one scale L for the whole shape (`_apex_circles`).  The incidences are
-computed on that frame (`engine._centred_edges`); a circle whose W / L is
-not an integer holds no point and is skipped.  The coplanar/cospherical
-maximum is read off the circles' axes, the lines through two points of P,
-which cross only at few candidate centres (`_apex_cospherical_max`);
-`engine._cospherical_max`, over every circle pair, is its reference.  The
+census clears P of denominators once and keys each circle by its integer
+frame row (n, C, W) of `engine._circle_frame`, with one scale L for the
+whole shape (`_apex_circles`).  The incidences are computed on that frame
+(`engine._centred_edges`); a circle whose W / L is not an integer holds no
+point and is skipped.  The coplanar/cospherical maximum q comes from the
+engine's one kernel, `engine._cospherical_max`, with the points producing
+each circle as the known points of its axis, the line through them.  The
 circle count and the multiplicities are read off the same integer table,
 and the census builds no `Circle`; `triangle_circles` lists the circles.
 Each incidence (r, circle of (p, q)) gives the triangle {p, q, r}, so the
@@ -181,14 +180,14 @@ def similar_triangles_bruteforce(P: Sequence[Point3], shape: TriangleShape) -> i
 class _ApexTable(NamedTuple):
     """The apex circles of all ordered pairs of P in one integer frame.
 
-    `pairs` maps a circle's key (C, n, |Q - P|^2) to the ordered index
-    pairs (i, j) producing it; the circle has centre C / den, normal n and
-    squared radius w |Q - P|^2 / (L den^2).  `points` is P in the frame and
-    L is its `scale`."""
+    `pairs` maps a circle's frame row (n, C, W) to the ordered index pairs
+    (i, j) producing it; the circle has normal n, centre C / den and
+    squared radius W / (L den^2).  `points` is P in the frame and L is its
+    `scale`.  The producers of a circle lie on its axis, so `pairs` is the
+    input of `engine._cospherical_max` as it stands."""
 
     pairs: dict[tuple, list[tuple[int, int]]]
     points: list[tuple[int, int, int]]
-    w: int
     scale: int
     den: int
 
@@ -205,7 +204,7 @@ def _apex_circles(P: Sequence[Point3], shape: TriangleShape) -> _ApexTable:
     W / L = den'^2 r^2, as in `engine._circle_frame`.  The points are lifted
     to the frame as td P, so a point's squared distance to C is an integer,
     and a circle whose W / L is not one holds no point.  A circle is keyed
-    by C, n and |Q - P|^2."""
+    by its frame row (n, C, W)."""
     if len(P) < 2:
         raise ValidationError("need at least two points")
     if len(set(P)) != len(P):
@@ -216,9 +215,9 @@ def _apex_circles(P: Sequence[Point3], shape: TriangleShape) -> _ApexTable:
     a, b, c = _squared_sides(shape.rho1, shape.rho2)
     g = math.gcd(a + b - c, 2 * a)
     tn, td = (a + b - c) // g, 2 * a // g
-    width = b * td * td - a * tn * tn
-    g = math.gcd(width, a)
-    w, scale = width // g, a // g
+    num = b * td * td - a * tn * tn
+    g = math.gcd(num, a)
+    w, scale = num // g, a // g
     pairs: dict[tuple, list[tuple[int, int]]] = {}
     for i, (px, py, pz) in enumerate(coords):
         for j in range(i + 1, len(coords)):
@@ -229,110 +228,12 @@ def _apex_circles(P: Sequence[Point3], shape: TriangleShape) -> _ApexTable:
             if dx < 0 or not dx and (dy < 0 or not dy and dz < 0):
                 g = -g
             normal = (dx // g, dy // g, dz // g)
-            d2 = dx * dx + dy * dy + dz * dz
+            width = w * (dx * dx + dy * dy + dz * dz)
             centre = (td * px + tn * dx, td * py + tn * dy, td * pz + tn * dz)
-            pairs.setdefault((centre, normal, d2), []).append((i, j))
+            pairs.setdefault((normal, centre, width), []).append((i, j))
             centre = (td * qx - tn * dx, td * qy - tn * dy, td * qz - tn * dz)
-            pairs.setdefault((centre, normal, d2), []).append((j, i))
-    return _ApexTable(
-        pairs,
-        [(td * x, td * y, td * z) for x, y, z in coords],
-        w,
-        scale,
-        td * den,
-    )
-
-
-def _apex_cospherical_max(apex: _ApexTable) -> int:
-    """The largest number of apex circles in one plane or on one sphere:
-    the count of `engine._cospherical_max` on the apex frame, without
-    testing every pair of circles.
-
-    The axis of a circle, the line through its centre along its normal, is
-    the line through the two points of each ordered pair producing it.  So
-    the circles are grouped by axis, keyed by (n, n x C), and the points of
-    P on an axis are the producers of its circles, since every pair of
-    points gives a circle.  A sphere's centre lies on the axis of every
-    circle on it, so a sphere holding circles on two distinct axes is
-    centred where those axes cross.  The candidate centres of an axis are:
-
-    - its points of P, as (x, y, z, 1);
-    - its crossing with every other axis that shares no point of P with
-      it, is coplanar with it (reciprocal product n_A . m_B + n_B . m_A = 0
-      for moments m = n x C) and is not parallel to it.  Two axes through
-      a common point of P cross there, which is a candidate already.
-
-    A circle (n, C, W) and a candidate O = (X, Y, Z) / q on its axis, with
-    gcd(X, Y, Z, q) = 1 and q > 0, name one sphere, keyed as `_sphere_key`
-    keys it: (X, Y, Z, q, q^2 W + L |(X, Y, Z) - q C|^2).  A sphere holding
-    circles on two distinct axes has its centre among the candidates of
-    each of them, and an axis lists each candidate once, so its key is
-    counted exactly once per circle on it.  A sphere whose circles all
-    share one axis may be centred off every candidate; `_sphere_key` on
-    the pairs within each axis finds it, and a sphere named by h of them
-    holds c circles with h = C(c, 2), as in `_cospherical_max`.  Planes are
-    bucketed by (n, n . C).  Every sphere with two or more circles is found
-    with its full count by one of the two ways, so the largest count of
-    the three is the all-pairs answer.
-    """
-    scale = apex.scale
-    planes: dict[tuple, int] = {}
-    # axis (n, n x C) -> (frame rows (n, C, W) on it, ids of its points)
-    axes: dict[tuple, tuple[list, set]] = {}
-    for (centre, n, d2), ij in apex.pairs.items():
-        cx, cy, cz = centre
-        nx, ny, nz = n
-        plane = (n, nx * cx + ny * cy + nz * cz)
-        planes[plane] = planes.get(plane, 0) + 1
-        axis = (n, (ny * cz - nz * cy, nz * cx - nx * cz, nx * cy - ny * cx))
-        rows, on_axis = axes.setdefault(axis, ([], set()))
-        rows.append((n, centre, apex.w * d2))
-        on_axis.update(*ij)
-    # (n, m, bitmask of its points, a point C on it) per axis
-    groups = [
-        (*n, *m, sum(1 << k for k in on_axis), rows[0][1])
-        for (n, m), (rows, on_axis) in axes.items()
-    ]
-    candidates = [{(*apex.points[k], 1) for k in on_axis} for _, on_axis in axes.values()]
-    for a, (nx, ny, nz, mx, my, mz, mask, (cx, cy, cz)) in enumerate(groups):
-        for b in range(a + 1, len(groups)):
-            ux, uy, uz, vx, vy, vz, other, (ex, ey, ez) = groups[b]
-            if mask & other or nx * vx + ny * vy + nz * vz + ux * mx + uy * my + uz * mz:
-                continue  # crossing at a shared point of P, or skew
-            kx, ky, kz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
-            if not (kx or ky or kz):
-                continue  # parallel
-            # the crossing C_a + (p / q) n_a, as in `engine._sphere_key`
-            dx, dy, dz = ex - cx, ey - cy, ez - cz
-            p = (dy * uz - dz * uy) * kx + (dz * ux - dx * uz) * ky + (dx * uy - dy * ux) * kz
-            q = kx * kx + ky * ky + kz * kz
-            ox, oy, oz = q * cx + p * nx, q * cy + p * ny, q * cz + p * nz
-            g = math.gcd(ox, oy, oz, q)
-            crossing = (ox // g, oy // g, oz // g, q // g)
-            candidates[a].add(crossing)
-            candidates[b].add(crossing)
-    counts: dict[tuple, int] = {}
-    for (rows, _), centres in zip(axes.values(), candidates):
-        for _, (cx, cy, cz), w in rows:
-            for ox, oy, oz, q in centres:
-                dx, dy, dz = ox - q * cx, oy - q * cy, oz - q * cz
-                key = (ox, oy, oz, q, q * q * w + scale * (dx * dx + dy * dy + dz * dz))
-                counts[key] = counts.get(key, 0) + 1
-    best = max(max(planes.values()), max(counts.values()))
-    for rows, _ in axes.values():
-        # two distinct circles determine at most one common sphere, so a
-        # sphere holding c circles of this axis is named by C(c, 2) pairs;
-        # an axis with no more circles than the best count cannot beat it
-        if len(rows) > best:
-            hits: dict[tuple, int] = {}
-            for i, ri in enumerate(rows):
-                for rj in rows[i + 1:]:
-                    key = engine._sphere_key(ri, rj, scale)
-                    if key is not None:
-                        hits[key] = hits.get(key, 0) + 1
-            if hits:
-                best = max(best, (1 + math.isqrt(1 + 8 * max(hits.values()))) // 2)
-    return best
+            pairs.setdefault((normal, centre, width), []).append((j, i))
+    return _ApexTable(pairs, [(td * x, td * y, td * z) for x, y, z in coords], scale, td * den)
 
 
 def triangle_circles(
@@ -342,17 +243,16 @@ def triangle_circles(
     with the number of ordered pairs producing it, sorted by repr."""
     apex = _apex_circles(P, shape)
     den = apex.den
-    radius_factor = Fraction(apex.w, apex.scale * den * den)
     circles = [
         (
             Circle(
                 Point3(Fraction(cx, den), Fraction(cy, den), Fraction(cz, den)),
                 normal,
-                radius_factor * d2,
+                Fraction(w, apex.scale * den * den),
             ),
             len(ij),
         )
-        for ((cx, cy, cz), normal, d2), ij in apex.pairs.items()
+        for (normal, (cx, cy, cz), w), ij in apex.pairs.items()
     ]
     circles.sort(key=lambda item: repr(item[0]))
     return circles
@@ -372,8 +272,7 @@ def similar_triangles_via_incidences(
     # centre -> W / L -> [(normal, circle id)]; a circle whose W / L is not
     # an integer holds no point of the frame and is not stored
     centred: dict[tuple, dict[int, list]] = {}
-    for cid, (centre, normal, d2) in enumerate(apex.pairs):
-        w = apex.w * d2
+    for cid, (normal, centre, w) in enumerate(apex.pairs):
         if w % apex.scale == 0:
             centred.setdefault(centre, {}).setdefault(w // apex.scale, []).append((normal, cid))
     edges = engine._centred_edges(apex.points, centred)
@@ -381,7 +280,7 @@ def similar_triangles_via_incidences(
     # r on the circle of (i, j) makes {i, j, r} similar to the shape; r is
     # neither i nor j, since |ir|^2 = rho1 |ij|^2 > 0
     count = len({frozenset((i, j, r)) for r, cid in edges for i, j in producers[cid]})
-    q_max = _apex_cospherical_max(apex)
+    q_max = engine._cospherical_max(apex.pairs, apex.points, apex.scale)[0]
     multiplicities = [len(ij) for ij in producers]
     flags = []
     if max(multiplicities) > 2:

@@ -3,19 +3,16 @@
 Every formula is evaluated with all implied constants set to 1, so values
 describe shapes, not absolute bounds; the counts they are compared against
 stay exact integers.  Each catalogue entry carries its sense: an upper
-bound on a count, a lower bound (the distinct-distance counts `dd_variety`
-and `dd_bipartite`), or none (the degree schedule `degree_plan`, which
-`verify_instance` refuses).
+bound on a count, or a lower bound (the distinct-distance counts
+`dd_variety` and `dd_bipartite`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from . import partition
 from .errors import InsufficientData, MissingParam, OutOfRange, ValidationError
 
 DEFAULT_EPSILON = 0.01
@@ -92,10 +89,6 @@ def _param(name, *, integer=False, minimum=1):
     return read
 
 
-def _constant(name):
-    return lambda p: Fraction(p.get(name, 1))
-
-
 _M, _N, _Q, _R = _param("m"), _param("n"), _param("q"), _param("r", minimum=2)
 _K = _param("k", integer=True, minimum=2)
 _S = _param("s", integer=True, minimum=2)
@@ -116,10 +109,6 @@ def _s_param_planar(m, n, s, e):
 
 def _spheres_6_11(m, n, e):
     return _pw(m, 6, 11) * n ** (9 / 11 + e) + _pw(m, 2, 3) * _pw(n, 2, 3) + m + n
-
-
-def _degree_plan(m, n, k, a, a_prime, c):
-    return float(partition.plan_degree(int(m), int(n), k, a=a, a_prime=a_prime, c=c).D)
 
 
 _FORMULAS = {
@@ -184,10 +173,6 @@ _FORMULAS = {
         + n / r
     )),
     "similar_triangles": (UPPER, (_N,), lambda n: _pw(n, 15, 7)),
-    # a degree schedule, not a count bound: it has no sense to verify against
-    "degree_plan": (None, (
-        _M, _N, _K, _constant("a"), _constant("a_prime"), _constant("c")
-    ), _degree_plan),
 }
 
 FORMULA_NAMES = tuple(_FORMULAS)
@@ -217,13 +202,10 @@ def verify_instance(observed: int, f: BoundFormula) -> BoundReport:
     is a finding to inspect, not a failure, since constants are unknown.
 
     An upper bound flags ratio > FLAG_THRESHOLD, a lower bound (the
-    distinct distance counts) ratio < 1 / FLAG_THRESHOLD; a formula with
-    no sense, the degree schedule, raises `ValidationError`."""
+    distinct distance counts) ratio < 1 / FLAG_THRESHOLD."""
     if observed < 0:
         raise ValidationError("observed count must be >= 0")
     sense = _formula(f.name)[0]
-    if sense is None:
-        raise ValidationError(f"{f.name} is not a count bound; nothing to verify")
     value = eval_bound(f)
     ratio = observed / value if value > 0 else float("inf")
     flag = ratio < 1 / FLAG_THRESHOLD if sense == LOWER else ratio > FLAG_THRESHOLD

@@ -24,21 +24,16 @@ point-centre pair.
 `contains_krs` counts, for each r-subset of an object's incident points,
 the objects holding it, instead of intersecting every s objects.
 
-`coplanar_cospherical_max` and `common_sphere` share one integer kernel,
-`_sphere_key`: circles are put in one frame of rows (n, C, W) with a scale
-L (`_circle_frame`): n the primitive integer normal, C the
-denominator-cleared centre, and W / L the squared radius in the same
-units.  Every circle pair is tested there in Python ints
-(`_cospherical_max`); `Plane` and `Sphere` witnesses are built only for
-the answer.
-
-The similar-triangle census builds these rows itself, in closed form
-(`apps._apex_circles`), and calls `_centred_edges` on them directly.  It
-reads only the count of the maximum, and takes it off the circles' axes
-(`apps._apex_cospherical_max`): a sphere's centre lies on the axis of
-every circle on it, so the candidate centres are the points of P and the
-crossings of axes, and `_sphere_key` runs only on pairs of circles that
-share an axis.  `_cospherical_max` is the reference for that count.
+q, the most circles in one plane or on one sphere, has one kernel,
+`_cospherical_max`, shared by `coplanar_cospherical_max` and the
+similar-triangle census (`apps._apex_circles` builds its rows in closed
+form).  Circles are rows (n, C, W) of one integer frame with a scale L
+(`_circle_frame`): n the primitive normal, C the denominator-cleared
+centre, W / L the squared radius in the same units.  A sphere's centre lies
+on the axis of every circle on it, so the candidate centres are the points
+known to lie on the axes and the crossings of axes, and `_sphere_key`, the
+common sphere of two circles behind `common_sphere`, runs only on pairs of
+circles that share an axis.
 """
 
 from __future__ import annotations
@@ -592,44 +587,162 @@ def common_sphere(c1: Circle, c2: Circle) -> Optional[Sphere]:
     return None if key is None else _key_sphere(key, den, scale)
 
 
-def _cospherical_max(frame: Sequence[tuple], scale: int) -> tuple[int, int, Optional[tuple]]:
-    """For a nonempty list of framed circles (n, C, W) with scale L: the
-    largest number of them in one plane or on one sphere; the index of the
-    first circle of the first plane holding the most; and the `_sphere_key`
-    of the first sphere holding the most, if it holds more than any plane,
-    else None."""
-    # plane (n, n . C) -> [circle count, first circle on it]
-    planes: dict[tuple, list[int]] = {}
-    for i, (n, c, _) in enumerate(frame):
-        planes.setdefault((n, n[0] * c[0] + n[1] * c[1] + n[2] * c[2]), [0, i])[0] += 1
-    best, first = max(planes.values(), key=lambda group: group[0])
-    # two distinct circles determine at most one common sphere, so a sphere
-    # holding c circles is named by all C(c, 2) of its pairs
-    sphere_hits: dict[tuple, int] = {}
-    for i, ci in enumerate(frame):
-        for cj in frame[i + 1:]:
-            key = _sphere_key(ci, cj, scale)
+def _cospherical_max(
+    rows: dict[tuple, Sequence[tuple[int, ...]]],
+    points: Sequence[tuple[int, int, int]],
+    scale: int,
+) -> tuple[int, dict[tuple, int], dict[tuple, int], list[list[tuple]]]:
+    """The largest number of framed circles in one plane or on one sphere.
+
+    `rows` maps each of a nonempty set of distinct circles (n, C, W) with
+    scale L to tuples of ids of `points` (int triples in the same frame)
+    known to lie on its axis; an empty sequence when none is known.
+    Returns:
+
+    - the count;
+    - the number of circles in each plane (n, n . C), in the order first
+      met;
+    - a count per `_sphere_key`, never more than the sphere holds;
+    - the rows of each axis that held exactly the best count so far when
+      it was reached, and was not searched.
+
+    A sphere holding the returned count maps to that count here, or lies
+    with all its circles on one of those axes (`_axis_spheres` of it finds
+    it).  The census reads only the count; `coplanar_cospherical_max`
+    searches those axes only when a sphere beats every plane.
+
+    The axis of a circle is the line through its centre along its normal,
+    keyed by (n, n x C).  A sphere's centre lies on the axis of every
+    circle on it, so a sphere holding circles on two distinct axes is
+    centred where those axes cross.  The candidate centres of an axis are:
+
+    - its known points, as (x, y, z, 1);
+    - its crossing with every other axis that shares no known point with
+      it, is coplanar with it (reciprocal product n_A . m_B + n_B . m_A = 0
+      for moments m = n x C) and is not parallel to it.  Two axes through
+      a common known point cross there, which is a candidate already.
+
+    A circle (n, C, W) and a candidate O = (X, Y, Z) / q on its axis, with
+    gcd(X, Y, Z, q) = 1 and q > 0, name one sphere, keyed as `_sphere_key`
+    keys it: (X, Y, Z, q, q^2 W + L |(X, Y, Z) - q C|^2).  A sphere holding
+    circles on two distinct axes has its centre among the candidates of
+    each of them, and an axis lists each candidate once, so its key is
+    counted exactly once per circle on it.  A sphere whose circles all
+    share one axis may be centred off every candidate; `_axis_spheres`
+    finds it from the pairs within each axis holding more than the best
+    count.
+    """
+    planes: dict[tuple, int] = {}
+    # axis (n, n x C) -> (rows on it, ids of its known points)
+    axes: dict[tuple, tuple[list, set]] = {}
+    for row, ids in rows.items():
+        n, (cx, cy, cz), _ = row
+        nx, ny, nz = n
+        plane = (n, nx * cx + ny * cy + nz * cz)
+        planes[plane] = planes.get(plane, 0) + 1
+        axis = (n, (ny * cz - nz * cy, nz * cx - nx * cz, nx * cy - ny * cx))
+        on_axis, known = axes.setdefault(axis, ([], set()))
+        on_axis.append(row)
+        known.update(*ids)
+    # (n, m, bitmask of its known points, a point C on it, its candidate
+    # centres) per axis
+    groups = [
+        (*n, *m, sum(1 << k for k in known), on_axis[0][1], {(*points[k], 1) for k in known})
+        for (n, m), (on_axis, known) in axes.items()
+    ]
+    for a, (nx, ny, nz, mx, my, mz, mask, (cx, cy, cz), centres) in enumerate(groups):
+        for ux, uy, uz, vx, vy, vz, other, e, others in groups[a + 1:]:
+            if mask & other or nx * vx + ny * vy + nz * vz + ux * mx + uy * my + uz * mz:
+                continue  # crossing at a shared known point, or skew
+            kx, ky, kz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+            if not (kx or ky or kz):
+                continue  # parallel
+            # the crossing C_a + (p / q) n_a, as in `_sphere_key`
+            dx, dy, dz = e[0] - cx, e[1] - cy, e[2] - cz
+            p = (dy * uz - dz * uy) * kx + (dz * ux - dx * uz) * ky + (dx * uy - dy * ux) * kz
+            q = kx * kx + ky * ky + kz * kz
+            ox, oy, oz = q * cx + p * nx, q * cy + p * ny, q * cz + p * nz
+            g = math.gcd(ox, oy, oz, q)
+            crossing = (ox // g, oy // g, oz // g, q // g)
+            centres.add(crossing)
+            others.add(crossing)
+    spheres: dict[tuple, int] = {}
+    for (on_axis, _), group in zip(axes.values(), groups):
+        centres = group[-1]
+        for _, (cx, cy, cz), w in on_axis:
+            for ox, oy, oz, q in centres:
+                dx, dy, dz = ox - q * cx, oy - q * cy, oz - q * cz
+                key = (ox, oy, oz, q, q * q * w + scale * (dx * dx + dy * dy + dz * dz))
+                spheres[key] = spheres.get(key, 0) + 1
+    best = max(max(planes.values()), max(spheres.values(), default=0))
+    ties = []
+    for on_axis, _ in axes.values():
+        # an axis with fewer circles than the best count cannot reach it,
+        # and one with just as many can only tie
+        if len(on_axis) == best:
+            ties.append(on_axis)
+        elif len(on_axis) > best:
+            for key, count in _axis_spheres(on_axis, scale).items():
+                if count > spheres.get(key, 0):
+                    spheres[key] = count
+                    best = max(best, count)
+    return best, planes, spheres, ties
+
+
+def _axis_spheres(on_axis: Sequence[tuple], scale: int) -> dict[tuple, int]:
+    """The `_sphere_key` of every sphere holding two or more of the framed
+    circles of one axis, with the number of them it holds.
+
+    Two distinct circles lie on at most one common sphere, so a sphere
+    holding c of them is named by h = C(c, 2) pairs.
+    """
+    hits: dict[tuple, int] = {}
+    for i, ri in enumerate(on_axis):
+        for rj in on_axis[i + 1:]:
+            key = _sphere_key(ri, rj, scale)
             if key is not None:
-                sphere_hits[key] = sphere_hits.get(key, 0) + 1
-    sphere = None
-    for key, hits in sphere_hits.items():
-        count = (1 + math.isqrt(1 + 8 * hits)) // 2
-        if count > best:
-            best, sphere = count, key
-    return best, first, sphere
+                hits[key] = hits.get(key, 0) + 1
+    return {key: (1 + math.isqrt(1 + 8 * h)) // 2 for key, h in hits.items()}
+
+
+def _on_sphere(row: tuple, key: tuple, scale: int) -> bool:
+    """Whether the framed circle (n, C, W) lies on the sphere of a `_sphere_key`."""
+    (nx, ny, nz), (cx, cy, cz), w = row
+    ox, oy, oz, q, r2 = key
+    dx, dy, dz = ox - q * cx, oy - q * cy, oz - q * cz
+    return (
+        not (dy * nz - dz * ny or dz * nx - dx * nz or dx * ny - dy * nx)
+        and q * q * w + scale * (dx * dx + dy * dy + dz * dz) == r2
+    )
 
 
 def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[Surface]]:
     """Max number of the circles lying in one plane or on one sphere.
 
     Ties go to a plane over a sphere, then to the plane or sphere named
-    first.  Every circle pair is tested in one integer frame
-    (`_circle_frame`, `_cospherical_max`).
+    first in i < j pair order: the plane of the first circle, or the sphere
+    whose two first circles come first.  The count comes from the
+    axis-crossing kernel `_cospherical_max` on the circles' integer frame
+    (`_circle_frame`); `Plane` and `Sphere` witnesses are built only for
+    the answer.
     """
     if not circles:
         return 0, None
     frame, den, scale = _circle_frame(circles)
-    best, first, sphere = _cospherical_max(frame, scale)
-    if sphere is None:
-        return best, canonicalize(circles[first].plane())
-    return best, _key_sphere(sphere, den, scale)
+    rows = dict.fromkeys(frame, ())
+    if len(rows) != len(frame):
+        raise CoincidentObjects("circles coincide")
+    best, planes, spheres, ties = _cospherical_max(rows, (), scale)
+    if max(planes.values()) == best:
+        (a, b, c), e = max(planes, key=planes.get)
+        return best, canonicalize(Plane(a, b, c, Fraction(-e, den)))
+    keys = [key for key, count in spheres.items() if count == best]
+    keys += [
+        key for on_axis in ties
+        for key, count in _axis_spheres(on_axis, scale).items() if count == best
+    ]
+
+    def first_two(key):
+        return [i for i, row in enumerate(frame) if _on_sphere(row, key, scale)][:2]
+
+    return best, _key_sphere(min(keys, key=first_two), den, scale)

@@ -15,7 +15,10 @@ The rest are the all-pairs `Fraction` loops that `engine.count_incidences` and
 object-combination loop of `engine.contains_krs`, and the
 `Fraction` `common_sphere` and `coplanar_cospherical_max` from before the
 integer common-sphere kernel; the differential tests in `test_engine.py`
-compare the engine against them.  The `Fraction` Sturm root isolation, the
+compare the engine against them.  `all_pairs_cospherical_max` tests every
+pair of framed circles with `engine._sphere_key`; it is the reference of
+the census's q, which the engine's one q kernel, `_cospherical_max`,
+reads off the circles' axes instead.  The `Fraction` Sturm root isolation, the
 `Fraction` cell and crossing censuses and the per-cell bisect threshold scan
 are the references of `roots`, `partition.cell_census`,
 `partition.crossing_census` and `partition._best_threshold`.  The
@@ -51,7 +54,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from inclab import geom
+from inclab import engine, geom
 from inclab.apps import TriangleShape
 from inclab.engine import BipartiteDecomposition, PlanarInstance, planar_incident
 from inclab.errors import (
@@ -350,6 +353,36 @@ def coplanar_cospherical_max(circles: Sequence[Circle]) -> tuple[int, Optional[S
         if count > best:
             best, witness = count, sphere_by_key[key]
     return best, witness
+
+
+def all_pairs_cospherical_max(
+    frame: Sequence[tuple], scale: int
+) -> tuple[int, int, Optional[tuple]]:
+    """For a nonempty list of framed circles (n, C, W) with scale L
+    (`engine._circle_frame`): the largest number of them in one plane or on
+    one sphere; the index of the first circle of the first plane holding
+    the most; and the `engine._sphere_key` of the first sphere holding the
+    most, if it holds more than any plane, else None.  Every circle pair is
+    tested."""
+    # plane (n, n . C) -> [circle count, first circle on it]
+    planes: dict[tuple, list[int]] = {}
+    for i, (n, c, _) in enumerate(frame):
+        planes.setdefault((n, n[0] * c[0] + n[1] * c[1] + n[2] * c[2]), [0, i])[0] += 1
+    best, first = max(planes.values(), key=lambda group: group[0])
+    # two distinct circles determine at most one common sphere, so a sphere
+    # holding c circles is named by all C(c, 2) of its pairs
+    sphere_hits: dict[tuple, int] = {}
+    for i, ci in enumerate(frame):
+        for cj in frame[i + 1:]:
+            key = engine._sphere_key(ci, cj, scale)
+            if key is not None:
+                sphere_hits[key] = sphere_hits.get(key, 0) + 1
+    sphere = None
+    for key, hits in sphere_hits.items():
+        count = (1 + math.isqrt(1 + 8 * hits)) // 2
+        if count > best:
+            best, sphere = count, key
+    return best, first, sphere
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import oracle
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from inclab import apps, construct, engine, geom
+from inclab import apps, construct, geom
 from inclab.errors import DegenerateShape, ValidationError
 from inclab.geom import dist2, point
 
@@ -343,10 +343,15 @@ class TestCensus:
     # t = 0: the four diagonal circles of the unit square lie on one sphere
     # centred at (1/2, 1/2, 0), where the diagonals cross
     @example((UNIT_SQUARE, APEX_SHAPES[3]))
+    # the 27 points of [0, 3)^3: many circles share axes and spheres
+    @example(([point(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
+              APEX_SHAPES[1]))
     def test_apex_count_matches_all_pairs(self, case):
+        census = apps.similar_triangles_via_incidences(*case)
         apex = apps._apex_circles(*case)
-        frame = [(normal, centre, apex.w * d2) for centre, normal, d2 in apex.pairs]
-        assert apps._apex_cospherical_max(apex) == engine._cospherical_max(frame, apex.scale)[0]
+        frame = list(apex.pairs)
+        assert census.cospherical_coplanar_max == \
+            oracle.all_pairs_cospherical_max(frame, apex.scale)[0]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(point_sets(min_size=0, max_size=4), st.booleans(), st.sampled_from(SHAPES))

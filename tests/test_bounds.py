@@ -70,7 +70,6 @@ class TestEvalBound:
         "rich_points_a": (3736.485386504598, 2475.0),
         "rich_points_b": (3457.5024480319157, 2496.137416945749),
         "similar_triangles": (2140521.8386833468, 2140521.8386833468),
-        "degree_plan": (5.0, 4.0),
     }
 
     def test_all_formulas_evaluate(self):
@@ -97,21 +96,12 @@ class TestEvalBound:
 
     def test_monotone_in_m_and_n(self):
         base = {"m": 500, "n": 900, "q": 40, "k": 3, "s": 3, "r": 4}
-        skip = {"degree_plan"}  # a schedule, not a count bound
         for name in bounds.FORMULA_NAMES:
-            if name in skip:
-                continue
             v = bounds.eval_bound(BoundFormula(name, base))
             vm = bounds.eval_bound(BoundFormula(name, {**base, "m": 1000}))
             vn = bounds.eval_bound(BoundFormula(name, {**base, "n": 1800}))
             assert vm >= v - 1e-9
             assert vn >= v - 1e-9
-
-    def test_degree_plan_matches_partition_module(self):
-        from inclab import partition
-
-        v = bounds.eval_bound(BoundFormula("degree_plan", {"m": 1000, "n": 1000, "k": 2}))
-        assert v == partition.plan_degree(1000, 1000, 2).D
 
 
 class TestVerify:
@@ -150,10 +140,6 @@ class TestVerify:
     def test_degree_plan_has_no_sense(self):
         with pytest.raises(ValidationError):
             bounds.verify_instance(5, BoundFormula("degree_plan", {"m": 500, "n": 900, "k": 2}))
-
-    def test_sense_checked_before_parameters(self):
-        with pytest.raises(ValidationError, match="not a count bound"):
-            bounds.verify_instance(5, BoundFormula("degree_plan", {}))
 
 
 class TestFit:

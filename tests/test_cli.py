@@ -630,7 +630,8 @@ BAD_INPUTS = {
         ["decompose", "--points", "{dir}/p.csv", "--surfaces", "{dir}/s.json"],
         "points must be distinct"),
     "verify-degree-plan": (
-        {}, ["verify", "--formula", "degree_plan", "--observed", "3"], "not a count bound"),
+        {}, ["verify", "--formula", "degree_plan", "--observed", "3"],
+        "invalid choice: 'degree_plan'"),
     "output-in-missing-directory": (
         {"p.csv": io.points_to_csv([_O, _A])},
         ["distances", "--points", "{dir}/p.csv", "--mode", "distinct",

@@ -539,6 +539,25 @@ class TestProjectionDifferential:
         assert draws == []
 
 
+X, Y, Z = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
+# two spheres of three circles and a plane of two: the origin sphere holds
+# three coaxial circles and is named first, by circles 0 and 1; the sphere
+# around (100, 50, 0) holds three on distinct axes; the plane z = 3 holds
+# circles 0 and 5
+TIE_FAMILY = [
+    Circle(point(0, 0, 3), Z, F(16)), Circle(point(0, 0, 4), Z, F(9)),
+    Circle(point(0, 0, -3), Z, F(16)), Circle(point(103, 50, 0), X, F(16)),
+    Circle(point(100, 53, 0), Y, F(16)), Circle(point(100, 50, 3), Z, F(16)),
+]
+# a circle repeated, respelled, on an axis that holds fewer circles than
+# the plane z = 0
+SHORT_AXIS_REPEAT = [
+    Circle(point(0, 0, 0), Z, F(1)), Circle(point(10, 0, 0), Z, F(1)),
+    Circle(point(20, 0, 0), Z, F(1)), Circle(point(0, 5, 7), (F(2), F(0), F(0)), F(2)),
+    Circle(point(0, 5, 7), (F(-1), F(0), F(0)), F(2)),
+]
+
+
 class TestCommonSphere:
     def test_two_sections_of_unit_sphere(self):
         sph = Sphere(point(0, 0, 0), F(1))
@@ -620,6 +639,13 @@ class TestCommonSphere:
         circles.append(Circle(point(0, 0, -3), (F(0), F(0), F(-1)), F(16)))
         assert engine.coplanar_cospherical_max(circles) == (3, Sphere(point(0, 0, 0), F(25)))
 
+    def test_sphere_named_first_wins_a_sphere_tie(self):
+        # the coaxial circles hold just the best count, so their axis is
+        # searched only as a tie
+        assert engine.coplanar_cospherical_max(TIE_FAMILY) == (3, Sphere(point(0, 0, 0), F(25)))
+        assert engine.coplanar_cospherical_max(TIE_FAMILY[3:] + TIE_FAMILY[:3]) == \
+            (3, Sphere(point(100, 50, 0), F(25)))
+
 
 RADII2 = st.fractions(min_value=F(1, 7), max_value=30, max_denominator=7)
 
@@ -678,6 +704,8 @@ def _outcome(f, *args):
 class TestCommonSphereDifferential:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(circle_families())
+    @example(TIE_FAMILY)
+    @example(SHORT_AXIS_REPEAT)
     def test_matches_fraction_oracle(self, circles):
         assert (_outcome(engine.coplanar_cospherical_max, circles)
                 == _outcome(oracle.coplanar_cospherical_max, circles))
